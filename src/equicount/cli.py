@@ -300,6 +300,11 @@ def _cmd_verify_uppingdim(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    # Checked before any work: one sample has no oracle standard error to gate on.
+    if args.samples < 2:
+        raise DomainError(f"oracle-compare requires --samples >= 2, got {args.samples}")
+    if args.trials < 1:
+        raise DomainError(f"oracle-compare requires --trials >= 1, got {args.trials}")
     p = field_model_params(args.sigma2)
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["oracle-compare"])

@@ -10,20 +10,26 @@ covariance E[f_i(x) f_j(y)] = delta_ij (<x, y>/n)^2: diagonal kernel q -> q^2,
 no positional kernel, hence tau = 0 and b^2 = (sigma2 + 1) / 2. The Lagrange
 multiplier lam makes F tangent to the sphere by construction.
 
-Equilibria (zeros of F) are found exhaustively:
+Equilibria (zeros of F) are the points where G(x) = f(x) + h |x|^2 / n is
+parallel to x: generically 2^n - 1 complex projective solutions (3 on the
+circle, 7 on the 2-sphere), each real one an antipodal pair of equilibria.
+They are found algebraically and polished by Newton iteration:
 
-* n = 2: F restricted to the circle is g(t) * unit tangent, with g a degree-3
-  trigonometric polynomial; a dense scan plus bisection cannot miss sign
-  changes once the count is stable under grid doubling.
-* n = 3: Newton iteration on the tangential equations from an icosahedral
-  mesh of seeds, with the chart re-rotated to each iterate (an orthonormal
-  tangent frame), deduplicated, and re-run on a finer mesh until the count
-  stabilizes.
+* n = 2: F on the circle is g(t) * unit tangent, with g a degree-3
+  trigonometric polynomial; its zeros are the unit-modulus roots of the
+  degree-6 polynomial z^3 g(z), whose coefficients are an 8-point FFT of g.
+* n = 3: in a fixed generic chart x ~ Q (1, u, v), E1 = G_2 - u G_1 (cubic
+  in u) and E2 = G_3 - v G_1 (quadratic in u) have a resultant of degree 7
+  in v, interpolated by FFT from Sylvester determinants at 16 roots of unity;
+  each v-root is back-solved for u. Certificate: exactly 7 finite, distinct
+  complex solutions with small back-solve residuals, else a second chart is
+  tried. Fields with G(x) = |x|^2 c + (l . x) x (f = 0 among them) make the
+  resultant vanish identically and are solved in closed form.
 
 Each equilibrium carries its unstable-direction count m (eigenvalues of the
 tangential Jacobian with nonnegative real part) and its multiplier value.
-Degenerate configurations (roots with near-zero Jacobian eigenvalues,
-non-stabilizing counts, an index sum violating the Euler characteristic) are
+Degenerate configurations (near-double roots, near-zero Jacobian eigenvalues,
+an index sum violating the Euler characteristic, a failed certificate) are
 measure zero; such samples raise SampleFlaggedError and batch drivers exclude
 them, reporting the exclusion rate.
 """
@@ -45,7 +51,8 @@ from .sampling import MCEstimate, substream
 _JACOBIAN_EIG_FLOOR = 1e-10
 #: Slope floor below which a circle root counts as degenerate (tangency).
 _SLOPE_FLOOR = 1e-8
-_MAX_REFINEMENTS = 6
+#: Newton steps allowed to polish a root that the algebra located to rounding.
+_POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -91,12 +98,7 @@ def sample_field(n: int, sigma2: float, rng: np.random.Generator) -> FieldSample
 
 
 def _f_value(fs: FieldSample, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,j,k->i", fs.coeffs, x, x)
-
-
-def _f_jacobian(fs: FieldSample, x: np.ndarray) -> np.ndarray:
-    # d f_i / d x_l = sum_k J_ilk x_k + sum_j J_ijl x_j
-    return np.einsum("ilk,k->il", fs.coeffs, x) + np.einsum("ijl,j->il", fs.coeffs, x)
+    return np.einsum("ijk,...j,...k->...i", fs.coeffs, x, x)
 
 
 def eval_field(fs: FieldSample, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -115,17 +117,16 @@ def eval_field(fs: FieldSample, x: np.ndarray) -> tuple[np.ndarray, float]:
     return ambient - lam * x, lam
 
 
-def _euclidean_field_jacobian(fs: FieldSample, x: np.ndarray, lam: float) -> np.ndarray:
-    """d F_i / d x_j in ambient coordinates at x (for F = -lam x + f + h)."""
-    df = _f_jacobian(fs, x)
-    ambient = _f_value(fs, x) + fs.drift
-    grad_lam = (ambient + df.T @ x) / fs.n
-    return df - lam * np.eye(fs.n) - np.outer(x, grad_lam)
-
-
 # ---------------------------------------------------------------------------
-# n = 2: exhaustive scan of the circle
+# n = 2: unit-modulus roots of a trigonometric polynomial
 # ---------------------------------------------------------------------------
+
+#: A root z of z^3 g(z) with ||z| - 1| below this lies on the circle; simple
+#: roots come out of the eigensolver within about 1e-13 of it.
+_UNIT_TOL = 1e-6
+#: A root off the circle but closer than this is half of a near-double real
+#: root (a complex pair about to land); the sample is flagged.
+_NEAR_UNIT = 1e-4
 
 
 def _circle_g(fs: FieldSample, theta: np.ndarray) -> np.ndarray:
@@ -136,79 +137,229 @@ def _circle_g(fs: FieldSample, theta: np.ndarray) -> np.ndarray:
     """
     c, s = np.cos(theta), np.sin(theta)
     x = math.sqrt(2.0) * np.stack([c, s], axis=-1)
-    f = np.einsum("ijk,...j,...k->...i", fs.coeffs, x, x) + fs.drift
+    f = _f_value(fs, x) + fs.drift
     return -f[..., 0] * s + f[..., 1] * c
 
 
-def _circle_g_slope(fs: FieldSample, theta: float) -> float:
-    """dg/dtheta = sqrt(2) (t^T Df t - lam): the 1-d tangential Jacobian scaled."""
-    c, s = math.cos(theta), math.sin(theta)
-    x = math.sqrt(2.0) * np.array([c, s])
-    t = np.array([-s, c])
-    df = _f_jacobian(fs, x)
-    ambient = _f_value(fs, x) + fs.drift
-    lam = float(x @ ambient) / 2.0
-    return math.sqrt(2.0) * (float(t @ df @ t) - lam)
+def find_equilibria_circle(fs: FieldSample, refine_tol: float = 1e-12) -> list[Equilibrium]:
+    """All equilibria on the circle, sorted by angle in [0, 2 pi).
 
-
-def _circle_roots(fs: FieldSample, grid_size: int, refine_tol: float) -> list[Equilibrium]:
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    values = _circle_g(fs, thetas)
-    if np.any(values == 0.0):
-        raise SampleFlaggedError("degenerate-root", "grid point is an exact zero")
-    sign_change = np.nonzero(values * np.roll(values, -1) < 0.0)[0]
-    los = thetas[sign_change]
-    his = los + 2.0 * math.pi / grid_size
-    f_los = values[sign_change]
-    # Vectorized bisection across all brackets.
-    while np.any(his - los > refine_tol):
-        mids = 0.5 * (los + his)
-        f_mids = _circle_g(fs, mids)
-        go_right = np.sign(f_mids) == np.sign(f_los)
-        los = np.where(go_right, mids, los)
-        f_los = np.where(go_right, f_mids, f_los)
-        his = np.where(go_right, his, mids)
-    out = []
-    for theta in 0.5 * (los + his):
-        slope = _circle_g_slope(fs, theta)
-        if abs(slope) < _SLOPE_FLOOR:
-            raise SampleFlaggedError("degenerate-root", f"|dg/dtheta| = {abs(slope)}")
-        x = math.sqrt(2.0) * np.array([math.cos(theta), math.sin(theta)])
-        residual = abs(float(_circle_g(fs, np.array([theta]))[0]))
-        lam = float(x @ (_f_value(fs, x) + fs.drift)) / 2.0
-        out.append(
-            Equilibrium(position=x, m=1 if slope >= 0.0 else 0, lagrange=lam, residual=residual)
-        )
-    return out
-
-
-def find_equilibria_circle(
-    fs: FieldSample, grid_size: int = 2048, refine_tol: float = 1e-12
-) -> list[Equilibrium]:
-    """All equilibria on the circle, by dense scan plus bisection.
-
-    The grid is doubled until two consecutive scans agree on the count; zeros
-    of a smooth function on the circle alternate in slope sign, so retained
-    samples always satisfy count(m=0) = count(m=1).
+    Roots are polished by Newton on g(theta) = c_0 + 2 Re sum_j c_j e^{i j theta}
+    until the step is below ``refine_tol``. Zeros of a smooth function on the
+    circle alternate in slope sign, so count(m=0) = count(m=1) must hold.
     """
     if fs.n != 2:
         raise DomainError("find_equilibria_circle requires n = 2")
-    previous = None
-    for _ in range(_MAX_REFINEMENTS + 1):
-        roots = _circle_roots(fs, grid_size, refine_tol)
-        if previous is not None and len(previous) == len(roots):
-            counts = [r.m for r in roots]
-            if counts.count(0) != counts.count(1):
-                raise SampleFlaggedError("alternation-violation", f"m counts {counts}")
-            return roots
-        previous = roots
-        grid_size *= 2
-    raise SampleFlaggedError("count-not-stabilized", f"after {_MAX_REFINEMENTS} doublings")
+    c = np.fft.fft(_circle_g(fs, np.arange(8) * (math.pi / 4.0)))[:4] / 8.0
+    poly = np.concatenate([c[:0:-1], [c[0].real], np.conj(c[1:])])
+    size = np.abs(poly)
+    if size.max() == 0.0:
+        raise SampleFlaggedError("degenerate-root", "g vanishes identically")
+    # Negligible outer coefficients (a field of lower trigonometric degree)
+    # only add roots near 0 and infinity; drop them in reciprocal pairs.
+    trim = int(np.argmax(size > 1e-12 * size.max()))
+    z = np.roots(poly[trim:len(poly) - trim])
+    off_circle = np.abs(np.abs(z) - 1.0)
+    near = off_circle[(off_circle >= _UNIT_TOL) & (off_circle < _NEAR_UNIT)]
+    if len(near):
+        raise SampleFlaggedError("degenerate-root", f"root {near.min():.3g} off the circle")
+    theta = np.angle(z[off_circle < _UNIT_TOL])
+    j = np.arange(1, 4)
+    for _ in range(_POLISH_STEPS):
+        terms = c[1:] * np.exp(1j * np.outer(theta, j))
+        slope = -2.0 * (terms * j).sum(axis=1).imag
+        if np.any(np.abs(slope) < _SLOPE_FLOOR):
+            raise SampleFlaggedError("degenerate-root", f"|dg/dtheta| = {np.abs(slope).min()}")
+        step = (c[0].real + 2.0 * terms.sum(axis=1).real) / slope
+        theta = theta - step
+        if np.all(np.abs(step) <= refine_tol):
+            break
+    order = np.argsort(theta % (2.0 * math.pi))
+    theta, slope = theta[order] % (2.0 * math.pi), slope[order]
+    ms = (slope >= 0.0).astype(int)
+    if 2 * ms.sum() != len(ms):
+        raise SampleFlaggedError("alternation-violation", f"m counts {ms.tolist()}")
+    xs = math.sqrt(2.0) * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    lams = (xs * (_f_value(fs, xs) + fs.drift)).sum(axis=1) / 2.0
+    residuals = np.abs(_circle_g(fs, theta))
+    return [
+        Equilibrium(position=x, m=int(m), lagrange=float(lam), residual=float(r))
+        for x, m, lam, r in zip(xs, ms, lams, residuals)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# n = 3: Newton from an icosahedral mesh
+# n = 3: the resultant of the equilibrium equations in a rotated chart
 # ---------------------------------------------------------------------------
+
+#: Fixed generic rotations Q of the chart x ~ Q (1, u, v); the second is used
+#: when a root of the field sits at (or near) the first chart's infinity.
+_CHARTS = tuple(
+    np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0] for seed in (1, 2)
+)
+#: The resultant has degree <= 9 in v, so 16 nodes on the unit circle
+#: interpolate it exactly.
+_NODES = np.exp(2j * math.pi * np.arange(16) / 16)
+#: Relative tolerance of the certificate: resultant coefficients below it
+#: vanish, chart coordinates beyond its inverse are infinite, back-solve
+#: residuals must stay below it, and complex solutions closer than it to each
+#: other or to the real plane are a near-double root.
+_CERT_TOL = 1e-6
+
+
+def _chart_polys(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u-coefficients, highest degree first, of E1 and E2 at each v.
+
+    ``b[a]`` is the symmetric matrix of the rotated component G_a, so that
+    G_a(1, u, v) = alpha_a + beta_a u + gamma_a u^2.
+    """
+    alpha = b[:, 0, 0, None] + 2.0 * b[:, 0, 2, None] * v + b[:, 2, 2, None] * v * v
+    beta = 2.0 * (b[:, 0, 1, None] + b[:, 1, 2, None] * v)
+    gamma = b[:, 1, 1, None] * np.ones_like(v)
+    e1 = np.stack([-gamma[0], gamma[1] - beta[0], beta[1] - alpha[0], alpha[1]], axis=-1)
+    e2 = np.stack([gamma[2] - v * gamma[0], beta[2] - v * beta[0], alpha[2] - v * alpha[0]], -1)
+    return e1, e2
+
+
+def _chart_real_roots(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unit directions of the real solutions of x x G(x) = 0, one per antipodal pair.
+
+    ``a[i]`` is the symmetric matrix of G_i. Raises SampleFlaggedError when
+    the 7 complex solutions in the chart of ``q`` are not certified.
+    """
+    b = q.T @ np.einsum("ia,ijk->ajk", q, a) @ q
+    e1, e2 = _chart_polys(b, _NODES)
+    sylvester = np.zeros((len(_NODES), 5, 5), dtype=complex)
+    for row in range(2):
+        sylvester[:, row, row:row + 4] = e1
+    for row in range(3):
+        sylvester[:, 2 + row, row:row + 3] = e2
+    res = np.fft.fft(np.linalg.det(sylvester)).real / len(_NODES)
+    scale = np.abs(res).max()
+    if not np.isfinite(scale) or np.abs(res[8:]).max() > _CERT_TOL * scale:
+        raise SampleFlaggedError("uncertified", "resultant is not of degree 7")
+    if abs(res[7]) <= _CERT_TOL * scale:
+        raise SampleFlaggedError("uncertified", "root at the chart's infinity")
+    v = np.roots(res[7::-1]).astype(complex)
+    e1, e2 = _chart_polys(b, v)
+    # Both roots of the quadratic E2, the larger-magnitude one without
+    # cancellation; the common root is the one that also zeroes E1.
+    q2, q1, q0 = e2.T
+    disc = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+    disc = np.where(np.abs(q1 + disc) >= np.abs(q1 - disc), disc, -disc)
+    w = -0.5 * (q1 + disc)
+    candidates = np.stack([w / q2, q0 / w], axis=1)
+    terms = e1[:, None, :] * candidates[..., None] ** np.arange(3, -1, -1)
+    backsolve = np.abs(terms.sum(axis=-1)) / np.abs(terms).sum(axis=-1)
+    pick = np.argmin(backsolve, axis=1)
+    u = candidates[np.arange(len(v)), pick]
+    if not np.all(np.isfinite(u)) or max(np.abs(u).max(), np.abs(v).max()) > 1.0 / _CERT_TOL:
+        raise SampleFlaggedError("uncertified", "root at the chart's infinity")
+    if backsolve[np.arange(len(v)), pick].max() > _CERT_TOL:
+        raise SampleFlaggedError("uncertified", "back-solve residual too large")
+    points = np.stack([u, v], axis=1)
+    size = 1.0 + np.abs(points).sum(axis=1)
+    gaps = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    if np.any(gaps < _CERT_TOL * size):
+        raise SampleFlaggedError("degenerate-root", "two complex solutions coincide")
+    imag = np.abs(points.imag).sum(axis=1)
+    if np.any((imag > 0.0) & (imag < _CERT_TOL * size)):
+        raise SampleFlaggedError("degenerate-root", "near-real complex pair")
+    real = points[imag == 0.0].real
+    xs = np.concatenate([np.ones((len(real), 1)), real], axis=1) @ q.T
+    return xs / np.linalg.norm(xs, axis=1)[:, None]
+
+
+def _tangent_frames(xs: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases at each row of xs, as columns: shape (s, 3, 2)."""
+    radial = xs / np.linalg.norm(xs, axis=1)[:, None]
+    # Pick the coordinate axis least aligned with the radial direction.
+    pick = np.argmin(np.abs(radial), axis=1)
+    helper = np.zeros_like(radial)
+    helper[np.arange(len(xs)), pick] = 1.0
+    e1 = helper - (helper * radial).sum(axis=1)[:, None] * radial
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return np.stack([e1, np.cross(radial, e1)], axis=-1)
+
+
+def _tangential_system(fs: FieldSample, xs: np.ndarray):
+    """F, lam, tangent frames and the Jacobian of F in those frames, per row of xs."""
+    ambient = _f_value(fs, xs) + fs.drift
+    lam = (xs * ambient).sum(axis=1) / fs.n
+    # d f_i / d x_l = sum_k J_ilk x_k + sum_j J_ijl x_j
+    df = np.einsum("ilk,sk->sil", fs.coeffs, xs) + np.einsum("ijl,sj->sil", fs.coeffs, xs)
+    grad_lam = (ambient + np.einsum("sil,si->sl", df, xs)) / fs.n
+    jac = df - lam[:, None, None] * np.eye(fs.n) - xs[:, :, None] * grad_lam[:, None, :]
+    frames = _tangent_frames(xs)
+    reduced = np.einsum("sia,sij,sjb->sab", frames, jac, frames)
+    return ambient - lam[:, None] * xs, lam, frames, reduced
+
+
+def _polish(fs: FieldSample, xs: np.ndarray, newton_tol: float) -> np.ndarray:
+    """Tangential Newton from accurate starting points to |F| <= newton_tol."""
+    for _ in range(_POLISH_STEPS):
+        tangent, _, frames, jac = _tangential_system(fs, xs)
+        if np.linalg.norm(tangent, axis=1).max() <= newton_tol:
+            return xs
+        step = np.linalg.solve(jac, -np.einsum("sia,si->sa", frames, tangent)[..., None])
+        moved = xs + (frames @ step)[..., 0]
+        xs = math.sqrt(fs.n) * moved / np.linalg.norm(moved, axis=1)[:, None]
+    raise SampleFlaggedError("uncertified", f"Newton polish stalled above {newton_tol}")
+
+
+def _classify(fs: FieldSample, xs: np.ndarray) -> list[Equilibrium]:
+    """Equilibria at the roots xs, with m from the 2x2 tangential Jacobians."""
+    tangent, lam, _, jac = _tangential_system(fs, xs)
+    re_parts = np.linalg.eigvals(jac).real
+    if np.any(np.abs(re_parts) < _JACOBIAN_EIG_FLOOR):
+        raise SampleFlaggedError("near-zero-jacobian-eigenvalue", f"re parts {re_parts.tolist()}")
+    ms = (re_parts >= 0.0).sum(axis=1)
+    residuals = np.linalg.norm(tangent, axis=1)
+    return [
+        Equilibrium(position=x, m=int(m), lagrange=float(lm), residual=float(r))
+        for x, m, lm, r in zip(xs, ms, lam, residuals)
+    ]
+
+
+def find_equilibria_sphere(fs: FieldSample, newton_tol: float = 1e-11) -> list[Equilibrium]:
+    """All equilibria on the 2-sphere, from the certified complex root set.
+
+    Roots are polished by tangential Newton to |F| <= ``newton_tol``. The index
+    sum must also meet the Euler characteristic, sum (-1)^m = 2; a sample that
+    fails any check is flagged rather than returned as a silently short list.
+    """
+    if fs.n != 3:
+        raise DomainError("find_equilibria_sphere requires n = 3")
+    # G_i(x) = x^T a[i] x on the sphere, with the drift made homogeneous.
+    eye = np.eye(3)
+    a = 0.5 * (fs.coeffs + fs.coeffs.transpose(0, 2, 1)) + np.multiply.outer(fs.drift / 3.0, eye)
+    # If a_ijk = c_i d_jk + (l_j d_ik + l_k d_ij)/2, i.e. G(x) = |x|^2 c + (l . x) x,
+    # then x x G(x) = |x|^2 x x c: the chart resultant vanishes identically
+    # and the equilibria lie along c. The two traces of a give c and l.
+    t1, t2 = np.einsum("ijj->i", a), np.einsum("jji->i", a)
+    c, ell = (2.0 * t1 - t2) / 5.0, (3.0 * t2 - t1) / 5.0
+    family = np.multiply.outer(c, eye) + 0.5 * (
+        np.einsum("j,ik->ijk", ell, eye) + np.einsum("k,ij->ijk", ell, eye))
+    if np.linalg.norm(a - family) <= 1e-12 * np.linalg.norm(a):
+        if not np.any(c):
+            raise SampleFlaggedError("degenerate-root", "every point is an equilibrium")
+        xs = (c / np.linalg.norm(c))[None, :]
+    else:
+        for q in _CHARTS:
+            try:
+                xs = _chart_real_roots(a, q)
+                break
+            except SampleFlaggedError as exc:
+                failure = exc
+        else:
+            raise failure
+    xs = math.sqrt(3.0) * np.concatenate([xs, -xs])
+    out = _classify(fs, _polish(fs, xs, newton_tol))
+    index_sum = sum((-1) ** e.m for e in out)
+    if index_sum != 2:
+        raise SampleFlaggedError("euler-characteristic-violation", f"sum (-1)^m = {index_sum}")
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -261,142 +412,6 @@ def icosphere_vertices(level: int) -> np.ndarray:
     return out
 
 
-def _tangent_frame(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (e1, e2) spanning the tangent plane at each row of xs."""
-    radial = xs / np.linalg.norm(xs, axis=1)[:, None]
-    # Pick the coordinate axis least aligned with the radial direction.
-    pick = np.argmin(np.abs(radial), axis=1)
-    helper = np.zeros_like(radial)
-    helper[np.arange(len(xs)), pick] = 1.0
-    e1 = helper - (helper * radial).sum(axis=1)[:, None] * radial
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(radial, e1)
-    return e1, e2
-
-
-def _newton_on_sphere(fs: FieldSample, seeds: np.ndarray, newton_tol: float) -> np.ndarray:
-    """Run tangential Newton from every seed; return converged positions.
-
-    Works on the shrinking set of not-yet-converged seeds; anything still
-    moving after the iteration cap (Newton converges quadratically from any
-    reasonable basin) is discarded as a wanderer.
-    """
-    n = fs.n
-    xs = seeds * math.sqrt(n)
-    done: list[np.ndarray] = []
-    eye = np.eye(n)
-    for _ in range(30):
-        if len(xs) == 0:
-            break
-        f = np.einsum("ijk,sj,sk->si", fs.coeffs, xs, xs) + fs.drift
-        lam = (xs * f).sum(axis=1) / n
-        tangent = f - lam[:, None] * xs
-        res = np.linalg.norm(tangent, axis=1)
-        converged = res <= newton_tol
-        if converged.any():
-            done.append(xs[converged])
-            keep = ~converged
-            xs, f, lam, tangent = xs[keep], f[keep], lam[keep], tangent[keep]
-            if len(xs) == 0:
-                break
-        e1, e2 = _tangent_frame(xs)
-        df = np.einsum("ilk,sk->sil", fs.coeffs, xs) + np.einsum("ijl,sj->sil", fs.coeffs, xs)
-        grad_lam = (f + np.einsum("sil,si->sl", df, xs)) / n
-        jac = df - lam[:, None, None] * eye - np.einsum("si,sl->sil", xs, grad_lam)
-        # Project to the tangent frame: 2x2 systems solved in closed form.
-        je1 = np.einsum("sil,sl->si", jac, e1)
-        je2 = np.einsum("sil,sl->si", jac, e2)
-        a11 = (e1 * je1).sum(axis=1)
-        a12 = (e1 * je2).sum(axis=1)
-        a21 = (e2 * je1).sum(axis=1)
-        a22 = (e2 * je2).sum(axis=1)
-        r1 = -(e1 * tangent).sum(axis=1)
-        r2 = -(e2 * tangent).sum(axis=1)
-        det = a11 * a22 - a12 * a21
-        ok = np.abs(det) >= 1e-14
-        if not ok.all():
-            xs, e1, e2 = xs[ok], e1[ok], e2[ok]
-            r1, r2 = r1[ok], r2[ok]
-            a11, a12, a21, a22, det = a11[ok], a12[ok], a21[ok], a22[ok], det[ok]
-            if len(xs) == 0:
-                break
-        d1 = (a22 * r1 - a12 * r2) / det
-        d2 = (a11 * r2 - a21 * r1) / det
-        step = d1[:, None] * e1 + d2[:, None] * e2
-        norms = np.linalg.norm(step, axis=1)
-        cap = 0.5 * math.sqrt(n)
-        scale = np.where(norms > cap, cap / np.maximum(norms, 1e-300), 1.0)
-        moved = xs + scale[:, None] * step
-        xs = math.sqrt(n) * moved / np.linalg.norm(moved, axis=1)[:, None]
-    if not done:
-        return np.empty((0, n))
-    return np.concatenate(done, axis=0)
-
-
-def _classify(fs: FieldSample, x: np.ndarray) -> tuple[int, float, float]:
-    """(m, lagrange, residual) from the 2x2 tangential Jacobian at a root."""
-    tangent, lam = eval_field(fs, x)
-    jac = _euclidean_field_jacobian(fs, x, lam)
-    e1, e2 = _tangent_frame(x[None, :])
-    e1, e2 = e1[0], e2[0]
-    a11, a12 = float(e1 @ jac @ e1), float(e1 @ jac @ e2)
-    a21, a22 = float(e2 @ jac @ e1), float(e2 @ jac @ e2)
-    tr = a11 + a22
-    disc = (a11 - a22) ** 2 + 4.0 * a12 * a21
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        re_parts = (0.5 * (tr + root), 0.5 * (tr - root))
-    else:
-        re_parts = (0.5 * tr, 0.5 * tr)
-    if any(abs(re) < _JACOBIAN_EIG_FLOOR for re in re_parts):
-        raise SampleFlaggedError("near-zero-jacobian-eigenvalue", f"re parts {re_parts}")
-    m = sum(re >= 0.0 for re in re_parts)
-    return m, lam, float(np.linalg.norm(tangent))
-
-
-def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
-    if len(points) == 0:
-        return points
-    kept = points[:1]
-    for p in points[1:]:
-        if (np.square(kept - p).sum(axis=1) >= radius * radius).all():
-            kept = np.vstack([kept, p])
-    return kept
-
-
-def find_equilibria_sphere(
-    fs: FieldSample,
-    mesh_level: int = 2,
-    newton_tol: float = 1e-11,
-    dedupe_radius: float = 1e-6,
-) -> list[Equilibrium]:
-    """All equilibria on the 2-sphere, by mesh-seeded Newton iteration.
-
-    Seeds come from an icosahedral mesh refined ``mesh_level`` times; the mesh
-    is refined further until two consecutive levels agree on the equilibrium
-    count. Retained samples must satisfy the Euler-characteristic identity
-    sum (-1)^m = 2 (a root-completeness certificate); violations flag the
-    sample rather than returning a silently short list.
-    """
-    if fs.n != 3:
-        raise DomainError("find_equilibria_sphere requires n = 3")
-    previous = None
-    for level in range(mesh_level, mesh_level + _MAX_REFINEMENTS + 1):
-        seeds = icosphere_vertices(level)
-        roots = _dedupe(_newton_on_sphere(fs, seeds, newton_tol), dedupe_radius)
-        if previous is not None and len(previous) == len(roots):
-            out = []
-            for x in roots:
-                m, lam, residual = _classify(fs, x)
-                out.append(Equilibrium(position=x, m=m, lagrange=lam, residual=residual))
-            index_sum = sum((-1) ** e.m for e in out)
-            if index_sum != 2:
-                raise SampleFlaggedError("euler-characteristic-violation", f"sum (-1)^m = {index_sum}")
-            return out
-        previous = roots
-    raise SampleFlaggedError("count-not-stabilized", f"after {_MAX_REFINEMENTS} refinements")
-
-
 # ---------------------------------------------------------------------------
 # Batch driver and the multiplier histogram
 # ---------------------------------------------------------------------------
@@ -415,12 +430,7 @@ class OracleCounts:
 
 
 def oracle_mean_counts(
-    n: int,
-    sigma2: float,
-    n_samples: int,
-    seed: int,
-    collect: list | None = None,
-    **solver_kwargs,
+    n: int, sigma2: float, n_samples: int, seed: int, collect: list | None = None
 ) -> OracleCounts:
     """Sample fields and count equilibria per index, excluding flagged samples.
 
@@ -433,42 +443,25 @@ def oracle_mean_counts(
     for i in range(n_samples):
         fs = sample_field(n, sigma2, substream(seed, i))
         try:
-            if n == 2:
-                eqs = find_equilibria_circle(fs, **solver_kwargs)
-            else:
-                eqs = find_equilibria_sphere(fs, **solver_kwargs)
+            eqs = find_equilibria_circle(fs) if n == 2 else find_equilibria_sphere(fs)
         except SampleFlaggedError as exc:
             reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
             continue
-        row = np.zeros(n, dtype=float)
-        for eq in eqs:
-            row[eq.m] += 1.0
-        counts.append(row)
+        counts.append(np.bincount([eq.m for eq in eqs], minlength=n).astype(float))
         if collect is not None:
             collect.extend((i, eq) for eq in eqs)
     retained = len(counts)
     if retained == 0:
         raise SampleFlaggedError("all-samples-flagged", f"{n_samples} samples")
     stack = np.array(counts)
-    per_m = {}
-    for m in range(n):
-        col = stack[:, m]
-        per_m[m] = MCEstimate(
-            mean=float(col.mean()),
-            stderr=float(col.std(ddof=1) / math.sqrt(retained)) if retained > 1 else 0.0,
-            n_trials=retained,
-            seed=seed,
-        )
-    totals = stack.sum(axis=1)
-    total = MCEstimate(
-        mean=float(totals.mean()),
-        stderr=float(totals.std(ddof=1) / math.sqrt(retained)) if retained > 1 else 0.0,
-        n_trials=retained,
-        seed=seed,
-    )
+
+    def estimate(values: np.ndarray) -> MCEstimate:
+        stderr = float(values.std(ddof=1) / math.sqrt(retained)) if retained > 1 else 0.0
+        return MCEstimate(mean=float(values.mean()), stderr=stderr, n_trials=retained, seed=seed)
+
     return OracleCounts(
-        per_m=per_m,
-        total=total,
+        per_m={m: estimate(stack[:, m]) for m in range(n)},
+        total=estimate(stack.sum(axis=1)),
         n_samples=n_samples,
         n_retained=retained,
         flagged_rate=1.0 - retained / n_samples,

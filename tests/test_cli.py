@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from equicount import cli
 from equicount.cli import main
 
 
@@ -173,6 +174,23 @@ class TestOracleCompareCommand:
         assert abs(float(first[4]) ** 2 + float(first[5]) ** 2 - 2.0) < 1e-9
         record = json.loads(out.read_text())
         assert record["flagged_rate"] < 0.01
+
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--samples", "0", "--samples >= 2"),
+        ("--samples", "1", "--samples >= 2"),
+        ("--trials", "0", "--trials >= 1"),
+    ])
+    def test_bad_sizes_rejected_before_work(self, monkeypatch, capsys, flag, value, bound):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "oracle_mean_counts", no_oracle)
+        argv = ["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "50",
+                "--trials", "1000", "--seed", "4"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "constraint" in err and bound in err
 
 
 class TestSGammaCommand:

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from equicount.errors import DomainError
+from equicount import sphere_field
+from equicount.errors import DomainError, SampleFlaggedError
 from equicount.montecarlo import estimate_equilibria_count
 from equicount.rates import derive_tau_b
 from equicount.sampling import z_score
@@ -28,6 +29,16 @@ from equicount.sphere_field import (
 )
 
 SEED = 90210
+
+
+def assert_antipodal_pairs(eqs, n):
+    # F(-x) = F(x), the tangential Jacobian flips sign and lam(-x) = -lam(x):
+    # every equilibrium has its antipode, with the complementary index.
+    for e in eqs:
+        partners = [p for p in eqs if np.allclose(p.position, -e.position, rtol=0.0, atol=1e-8)]
+        assert len(partners) == 1
+        assert partners[0].m == n - 1 - e.m
+        assert partners[0].lagrange == pytest.approx(-e.lagrange, abs=1e-9)
 
 
 class TestFieldModel:
@@ -113,6 +124,11 @@ class TestCircleSolver:
         for e in find_equilibria_circle(fs):
             assert abs(float(e.position @ e.position) - 2.0) < 1e-10
 
+    def test_antipodal_pairing(self):
+        rng = np.random.default_rng(SEED + 10)
+        for _ in range(200):
+            assert_antipodal_pairs(find_equilibria_circle(sample_field(2, 0.25, rng)), 2)
+
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
             find_equilibria_circle(sample_field(3, 0.25, np.random.default_rng(SEED)))
@@ -143,6 +159,47 @@ class TestSphereSolver:
             assert all(e.residual < 1e-9 for e in eqs)
             assert all(abs(float(e.position @ e.position) - 3.0) < 1e-10 for e in eqs)
 
+    def test_antipodal_pairing(self):
+        rng = np.random.default_rng(SEED + 11)
+        for _ in range(200):
+            assert_antipodal_pairs(find_equilibria_sphere(sample_field(3, 0.25, rng)), 3)
+
+    def test_degenerate_family_closed_form(self):
+        # f(x) = |x|^2 a + (l . x) x makes the chart resultant vanish
+        # identically; the equilibria are +-sqrt(3) c/|c| with c = a + h/3.
+        a, ell, drift = np.random.default_rng(SEED + 12).standard_normal((3, 3))
+        coeffs = np.einsum("i,jk->ijk", a, np.eye(3)) + np.einsum("j,ik->ijk", ell, np.eye(3))
+        fs = FieldSample(n=3, coeffs=coeffs, drift=drift, sigma2=1.0)
+        eqs = find_equilibria_sphere(fs)
+        assert sorted(e.m for e in eqs) == [0, 2]
+        c = a + drift / 3.0
+        sink = min(eqs, key=lambda e: e.m)
+        assert np.allclose(sink.position, math.sqrt(3.0) * c / np.linalg.norm(c), atol=1e-12)
+        assert all(e.residual < 1e-12 for e in eqs)
+
+    def test_root_at_chart_infinity_uses_second_chart(self, monkeypatch):
+        fs = sample_field(3, 0.25, np.random.default_rng(SEED + 13))
+        eqs = find_equilibria_sphere(fs)
+        # Reflect the field so that its first equilibrium lands on the plane
+        # the first chart sends to infinity; equilibria and indices follow.
+        axis = sphere_field._CHARTS[0][:, 0]
+        x0 = eqs[0].position / math.sqrt(3.0)
+        target = x0 - (x0 @ axis) * axis
+        d = x0 - target / np.linalg.norm(target)
+        reflect = np.eye(3) - 2.0 * np.outer(d, d) / (d @ d)
+        coeffs = np.einsum("ia,ajk,bj,ck->ibc", reflect, fs.coeffs, reflect, reflect)
+        moved = FieldSample(n=3, coeffs=coeffs, drift=reflect @ fs.drift, sigma2=fs.sigma2)
+        with monkeypatch.context() as patch:
+            patch.setattr(sphere_field, "_CHARTS", sphere_field._CHARTS[:1])
+            with pytest.raises(SampleFlaggedError, match="uncertified"):
+                find_equilibria_sphere(moved)
+        got = find_equilibria_sphere(moved)
+        assert len(got) == len(eqs)
+        for e in eqs:
+            image = reflect @ e.position
+            match = [g for g in got if np.allclose(g.position, image, rtol=0.0, atol=1e-8)]
+            assert len(match) == 1 and match[0].m == e.m
+
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
             find_equilibria_sphere(sample_field(2, 0.25, np.random.default_rng(SEED)))
@@ -153,6 +210,17 @@ class TestOracleBatch:
         out = oracle_mean_counts(2, 0.25, 400, SEED)
         assert out.n_retained + sum(out.flag_reasons.values()) == 400
         assert 0.0 <= out.flagged_rate < 0.01
+
+    @pytest.mark.parametrize("n, samples, totals", [
+        (3, 200, [330, 260, 330]),
+        (2, 400, [642, 642]),
+    ])
+    def test_pinned_count_totals(self, n, samples, totals):
+        # Per-index totals recorded with the earlier solvers (dense scan on the
+        # circle, mesh-seeded Newton on the sphere) at one fixed seed.
+        out = oracle_mean_counts(n, 0.25, samples, SEED + 12)
+        assert out.flag_reasons == {}
+        assert [round(out.per_m[m].mean * out.n_retained) for m in range(n)] == totals
 
     def test_symmetric_indices_at_n3(self):
         # N_m(B) = N_{n-m}(-B) at B = R forces equal means for m=0 and m=2.
