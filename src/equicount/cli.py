@@ -100,7 +100,19 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise DomainError(f"bad --n-list {text!r}; expected comma-separated integers") from exc
+    if not values:
+        raise DomainError(f"bad --n-list {text!r}; expected at least one size")
+    return values
+
+
+def _require_at_least(command: str, flag: str, value: int, bound: int) -> None:
+    """Reject a size below its bound; called before a command does any work."""
+    if value < bound:
+        raise DomainError(f"{command} requires {flag} >= {bound}, got {value}")
 
 
 def _write_output(out_path: str | None, payload: str) -> None:
@@ -209,6 +221,8 @@ def _cmd_s_gamma(args) -> int:
 
 
 def _cmd_sample_gee(args) -> int:
+    _require_at_least("sample-gee", "--n", args.n, 1)
+    _require_at_least("sample-gee", "--trials", args.trials, 1)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["sample-gee"])
     config = {
         "command": "sample-gee", "n": args.n, "tau": args.tau,
@@ -235,6 +249,7 @@ def _cmd_sample_gee(args) -> int:
 
 
 def _cmd_spectral_test(args) -> int:
+    _require_at_least("spectral-test", "--trials", args.trials, 1)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["spectral-test"])
     ks = empirical_spectral_test(args.n, args.tau, args.trials, seed)
     record = {
@@ -249,6 +264,7 @@ def _cmd_spectral_test(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _require_at_least("estimate", "--trials", args.trials, 1)
     p = _model_params(args)
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["estimate"])
@@ -276,6 +292,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify_uppingdim(args) -> int:
+    # One trial has no standard error, so its z-score would pass vacuously.
+    _require_at_least("verify-uppingdim", "--trials", args.trials, 2)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["verify-uppingdim"])
     report = verify_dimension_lift(
         args.n, args.m, args.tau, IntervalB(args.lo, args.hi),
@@ -300,11 +318,9 @@ def _cmd_verify_uppingdim(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    # Checked before any work: one sample has no oracle standard error to gate on.
-    if args.samples < 2:
-        raise DomainError(f"oracle-compare requires --samples >= 2, got {args.samples}")
-    if args.trials < 1:
-        raise DomainError(f"oracle-compare requires --trials >= 1, got {args.trials}")
+    # One sample has no oracle standard error to gate on.
+    _require_at_least("oracle-compare", "--samples", args.samples, 2)
+    _require_at_least("oracle-compare", "--trials", args.trials, 1)
     p = field_model_params(args.sigma2)
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["oracle-compare"])
@@ -371,6 +387,7 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_ldp_tail(args) -> int:
+    _require_at_least("ldp-tail", "--trials", args.trials, 1)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["ldp-tail"])
     points = empirical_tail_rate(
         _parse_int_list(args.n_list), args.m, args.x, args.tau, args.trials, seed

@@ -9,9 +9,13 @@ the GOE.
 
 Ordering convention: eigenvalues sorted by decreasing real part; among members
 of a conjugate pair the one with positive imaginary part comes first. Realness
-is structural (1 x 1 vs 2 x 2 blocks of the real Schur form), never an
-|Im| < eps test: the LAPACK drivers set the imaginary part of real eigenvalues
-to an exact zero, so events like {lambda_m real} carry no threshold bias.
+is structural, never an |Im| < eps test, so events like {lambda_m real} carry
+no threshold bias. For n = 2 and 3 the batch solver uses closed forms of the
+characteristic polynomial and reads realness from the sign of its
+discriminant, a statement about the entries. For larger n it reads the
+LAPACK drivers, which set the imaginary part of real eigenvalues to an exact
+zero. The single-matrix :func:`spectrum` reads the 1 x 1 vs 2 x 2 blocks of
+the real Schur form and serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -148,16 +152,95 @@ def spectrum(m: GeeMatrix) -> Spectrum:
     return Spectrum(values=values[order], is_real=is_real[order], n=n)
 
 
+_TRIG_PHASES = np.array([0.0, 2.0, 4.0]) * (math.pi / 3.0)
+
+
+def _cubic_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered eigenvalues and realness of a (batch, 3, 3) stack.
+
+    C = 3A - tr(A) I has eigenvalues s = 3 lambda - tr(A) and the depressed
+    characteristic polynomial s^3 + p s + q (p its principal 2 x 2 minor
+    sum, q = -det C); the factor 3 keeps small-integer entries exact, so
+    exactly repeated eigenvalues give an exactly zero discriminant
+    -4 p^3 - 27 q^2. Three real roots come from the trigonometric form,
+    one from Cardano's form with its conjugate pair by deflation. Each real
+    root takes one Newton step on the cubic, accepted only when shorter than
+    half the distance to the nearest other root: near a double root the
+    step is rounding noise and would walk away from it.
+
+    Each matrix is first scaled by a power of two that brings its largest
+    entry into [1, 2), so p^3 and q^2 neither overflow nor underflow; the
+    scaling is exact and is undone at the end.
+    """
+    batch = mats.shape[0]
+    scale = np.ldexp(1.0, np.frexp(np.abs(mats).max(axis=(1, 2)))[1] - 1)
+    tr = (mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]) / scale
+    c = mats * (3.0 / scale)[:, None, None]
+    c00 = c[:, 0, 0] - tr
+    c11 = c[:, 1, 1] - tr
+    c22 = c[:, 2, 2] - tr
+    c01, c02, c10 = c[:, 0, 1], c[:, 0, 2], c[:, 1, 0]
+    c12, c20, c21 = c[:, 1, 2], c[:, 2, 0], c[:, 2, 1]
+    minor0 = c11 * c22 - c12 * c21
+    p = minor0 + (c00 * c22 - c02 * c20) + (c00 * c11 - c01 * c10)
+    q = c01 * (c10 * c22 - c12 * c20) - c00 * minor0 - c02 * (c10 * c21 - c11 * c20)
+    three_real = -4.0 * p * p * p - 27.0 * q * q >= 0.0
+    one_real = ~three_real
+
+    s = np.zeros((batch, 3))
+    gap = np.zeros((batch, 3))  # a zero gap blocks the Newton step
+    pr, qr = p[three_real], q[three_real]
+    # p <= 0 whenever the discriminant is >= 0, up to underflow.
+    rad = np.sqrt(np.maximum(-pr, 0.0) / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos3 = np.clip(-qr / (2.0 * rad * rad * rad), -1.0, 1.0)
+    theta = np.arccos(np.where(rad > 0.0, cos3, 1.0)) / 3.0
+    roots = 2.0 * rad[:, None] * np.cos(theta[:, None] - _TRIG_PHASES)  # descending
+    s[three_real] = roots
+    gap_hi = roots[:, 0] - roots[:, 1]
+    gap_lo = roots[:, 1] - roots[:, 2]
+    gap[three_real] = np.stack([gap_hi, np.minimum(gap_hi, gap_lo), gap_lo], axis=1)
+
+    pc, qc = p[one_real], q[one_real]
+    u = -np.cbrt(0.5 * qc + np.copysign(np.sqrt(0.25 * qc * qc + pc * pc * pc / 27.0), qc))
+    root = u - pc / (3.0 * u)
+    s[one_real, 0] = root
+    # Distance from the real root to its conjugate pair.
+    gap[one_real, 0] = np.sqrt(3.0 * root * root + pc)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = ((s * s + p[:, None]) * s + q[:, None]) / (3.0 * s * s + p[:, None])
+    take = np.abs(step) < 0.5 * gap
+    s = np.where(take, s - step, s)
+
+    values = np.empty((batch, 3), dtype=complex)
+    values.real = (s + tr[:, None]) / 3.0
+    values.imag = 0.0
+    root = s[one_real, 0]
+    pair_re = (tr[one_real] - 0.5 * root) / 3.0
+    pair_im = np.sqrt(np.maximum(3.0 * root * root + 4.0 * pc, 0.0)) / 6.0
+    values[one_real, 1] = pair_re + 1j * pair_im
+    values[one_real, 2] = pair_re - 1j * pair_im
+    is_real = np.repeat(three_real[:, None], 3, axis=1)
+    is_real[:, 0] = True
+    return values * scale[:, None], is_real
+
+
 def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered eigenvalues and structural realness for a (batch, n, n) stack.
 
-    n = 2 uses the exact quadratic formula (realness = nonnegative
-    discriminant, an exact-arithmetic statement about the entries); larger n
-    goes through the LAPACK nonsymmetric eigensolver, whose real eigenvalues
-    come back with an exact zero imaginary part. Both criteria agree with the
-    Schur-block classification of :func:`spectrum`.
+    n = 2 and n = 3 use closed forms of the characteristic polynomial, and
+    realness is the sign of its discriminant (nonnegative means all roots
+    real): an exact-arithmetic statement about the entries, not an
+    |Im| < eps test. Larger n goes through the LAPACK nonsymmetric
+    eigensolver, whose real eigenvalues come back with an exact zero
+    imaginary part. Both criteria agree with the Schur-block classification
+    of :func:`spectrum`. Non-finite entries raise :class:`EigensolverError`
+    on every path.
     """
     batch, n, _ = mats.shape
+    if n in (2, 3) and not np.isfinite(mats).all():
+        raise EigensolverError("batched eigensolver needs finite entries", matrix=mats)
     if n == 2:
         tr = mats[:, 0, 0] + mats[:, 1, 1]
         det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
@@ -171,11 +254,14 @@ def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values[~real_pair, 1] = 0.5 * (tr[~real_pair] - 1j * root[~real_pair])
         is_real = np.repeat(real_pair[:, None], 2, axis=1)
         return values, is_real
-    try:
-        values = np.linalg.eigvals(mats).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"batched eigensolver failed: {exc}", matrix=mats) from exc
-    is_real = values.imag == 0.0
+    if n == 3:
+        values, is_real = _cubic_spectra(mats)
+    else:
+        try:
+            values = np.linalg.eigvals(mats).astype(complex)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"batched eigensolver failed: {exc}", matrix=mats) from exc
+        is_real = values.imag == 0.0
     order = np.argsort(_order_key(values), axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)
     is_real = np.take_along_axis(is_real, order, axis=1)

@@ -271,11 +271,12 @@ def empirical_tail_rate(
         raise DomainError(f"requires m >= 1, got m={m}")
     if not x > 1.0 + tau:
         raise DomainError(f"requires x > 1 + tau, got x={x}, tau={tau}")
+    for n in n_list:
+        if not m <= n:
+            raise DomainError(f"requires m <= n, got m={m}, n={n}")
     reference = m * rate_function(x, tau)
     out = []
     for i, n in enumerate(n_list):
-        if not m <= n:
-            raise DomainError(f"requires m <= n, got m={m}, n={n}")
         hits = 0
         for values, is_real in _eig_batches(n, tau, n_trials, derive_seed(seed, i), batch_size):
             lam = values[:, m - 1]
@@ -305,6 +306,8 @@ def empirical_spectral_test(
     ellipse-law marginal CDF (the finite-n elliptic-law check)."""
     if n < 50:
         raise DomainError(f"requires n >= 50 for a meaningful bulk, got n={n}")
+    if not -1.0 < tau < 1.0:
+        raise DomainError(f"requires -1 < tau < 1, got tau={tau}")
     pooled = np.empty(n * n_trials)
     done = 0
     for values, _ in _eig_batches(n, tau, n_trials, seed, batch_size):

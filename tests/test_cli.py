@@ -1,12 +1,16 @@
 """CLI: exit codes, output formats, determinism, infinity serialization."""
 
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equicount import cli
+from equicount import cli, montecarlo
 from equicount.cli import main
 
 
@@ -214,3 +218,71 @@ class TestLdpTailCommand:
         rows = text.strip().splitlines()[2:]
         assert len(rows) == 2
         assert rows[0].split(",")[0] == "6"
+
+
+def _refuse_sampling(monkeypatch):
+    """Make every ensemble draw fail, so a command that starts work is caught."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("matrices were sampled before the inputs were checked")
+
+    monkeypatch.setattr(cli, "sample_gee_entries", no_sampling)
+    monkeypatch.setattr(montecarlo, "sample_gee_entries", no_sampling)
+
+
+ESTIMATE = ["estimate", "--n", "3", "--m", "0", "--phi1", "1", "--dphi1", "2",
+            "--phi2", "0", "--sigma2", "0.25"]
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0", "--trials", "1"],
+     "--trials >= 2"),
+    (ESTIMATE + ["--trials", "0"], "--trials >= 1"),
+    (["ldp-tail", "--n-list", "10", "--x", "1.3", "--tau", "0", "--trials", "0"],
+     "--trials >= 1"),
+    (["ldp-tail", "--n-list", "10,x", "--x", "1.3", "--tau", "0", "--trials", "10"],
+     "comma-separated integers"),
+    (["ldp-tail", "--n-list", "10,0", "--x", "1.3", "--tau", "0", "--trials", "10"],
+     "m <= n"),
+    (["sample-gee", "--n", "0", "--tau", "0.2", "--trials", "4"], "--n >= 1"),
+    (["spectral-test", "--n", "60", "--tau", "1.0", "--trials", "2"], "-1 < tau < 1"),
+], ids=["verify-trials-1", "estimate-trials-0", "ldp-trials-0", "ldp-n-list-junk",
+        "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1"])
+def test_bad_arguments_rejected_before_work(monkeypatch, capsys, argv, bound):
+    _refuse_sampling(monkeypatch)
+    assert main(argv + ["--seed", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "constraint" in err and bound in err
+
+
+_TAUS = st.one_of(st.floats(-1.2, 1.2), st.sampled_from(["1.0", "-1.0", "nan", "inf"]))
+_N_LISTS = st.one_of(
+    st.lists(st.integers(-1, 6), max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    st.sampled_from(["", ",", "4,x", "2.5", "1e1"]),
+)
+
+
+@st.composite
+def _small_argv(draw):
+    trials = str(draw(st.integers(-2, 3)))
+    n = str(draw(st.integers(-1, 5)))
+    tau = str(draw(_TAUS))
+    return draw(st.sampled_from([
+        ["sample-gee", "--n", n, "--tau", tau, "--trials", trials],
+        ["spectral-test", "--n", str(draw(st.sampled_from([n, "50"]))), "--tau", tau,
+         "--trials", trials],
+        ESTIMATE[:2] + [n] + ESTIMATE[3:] + ["--trials", trials],
+        ["verify-uppingdim", "--n", n, "--m", "1", "--tau", tau, "--trials", trials],
+        ["ldp-tail", "--n-list", draw(_N_LISTS), "--x", "1.3", "--tau", tau,
+         "--trials", trials],
+    ]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_argv())
+def test_fuzzed_sizes_end_in_documented_exit_codes(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + ["--seed", "1"])
+        except SystemExit as exc:  # argparse's usage error, e.g. "--tau -1e-05"
+            code = exc.code
+    assert code in (0, 2, 3, 4)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from equicount.errors import DomainError
+from equicount.errors import DomainError, EigensolverError
 from equicount.gee import (
     GeeMatrix,
+    _order_key,
     count_unstable,
     eigvals_batch,
     log_eigenvalue_density,
@@ -24,6 +25,7 @@ from equicount.gee import (
     sample_gee_entries,
     spectrum,
 )
+from equicount.sampling import substream
 
 SEED = 31337
 
@@ -120,13 +122,71 @@ class TestSpectrum:
                 np.sort_complex(shifted.values), np.sort_complex(m_values(m) - t), atol=1e-10
             )
 
-    def test_batch_matches_schur_realness(self):
-        mats = sample_gee_entries(6, 0.3, np.random.default_rng(SEED + 4), 300)
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_batch_matches_schur_realness(self, n):
+        mats = sample_gee_entries(n, 0.3, np.random.default_rng(SEED + 4), 300)
         values, is_real = eigvals_batch(mats)
         for i in range(300):
             s = spectrum_of(mats[i], tau=0.3)
             assert s.k_real == int(is_real[i].sum())
             assert np.allclose(s.values, values[i], atol=1e-9)
+
+
+def assert_matches_lapack(mats: np.ndarray, tol: float):
+    """Realness and order equal to the LAPACK path (exact-zero imaginary
+    parts, sorted by ``_order_key``), values within ``tol``."""
+    values, is_real = eigvals_batch(mats)
+    ref = np.linalg.eigvals(mats).astype(complex)
+    ref = np.take_along_axis(ref, np.argsort(_order_key(ref), axis=1, kind="stable"), axis=1)
+    assert np.array_equal(is_real, ref.imag == 0.0)
+    assert np.abs(values - ref).max() <= tol
+    return values, is_real
+
+
+class TestClosedFormCubic:
+    """n = 3 spectra from the characteristic cubic against LAPACK geev."""
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3, 0.9, 1.0])
+    def test_seeded_stack_matches_lapack(self, tau):
+        # 20 batches of 4096 per tau: 409600 matrices over the five values.
+        for index in range(20):
+            mats = sample_gee_entries(3, tau, substream(SEED + 9, index), 4096)
+            assert_matches_lapack(mats, 1e-10)
+
+    @pytest.mark.parametrize("entries", [
+        np.zeros((3, 3)),
+        np.eye(3),
+        np.diag([1.0, 1.0, 2.0]),
+        # Inexact entries: an unguarded Newton step leaves the double root by 3e-2.
+        np.diag([0.1, 0.1, 0.7]),
+        [[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [0.0, 0.0, 5.0]],
+        [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
+    ], ids=["zero", "identity", "diag-1-1-2", "diag-0.1-0.1-0.7", "triangular-1-1-5", "jordan-2"])
+    def test_degenerate_fixtures_match_lapack(self, entries):
+        assert_matches_lapack(np.asarray(entries, dtype=float)[None], 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-60, 1e60, 1e300])
+    def test_extreme_scales_match_lapack(self, scale):
+        # p^3 and q^2 leave the double range here unless each matrix is rescaled.
+        mats = scale * sample_gee_entries(3, 0.3, np.random.default_rng(SEED + 10), 1000)
+        assert_matches_lapack(mats, 1e-10 * scale)
+
+    def test_real_part_tie_orders_like_lapack(self):
+        # +-i and 0 share the real part 0: the conjugate-pair rule puts +i
+        # first and -i last, with the real eigenvalue between them.
+        rotation = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+        values, is_real = assert_matches_lapack(rotation, 0.0)
+        assert values[0].tolist() == [1j, 0.0, -1j]
+        assert is_real[0].tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite_entries(n, bad):
+    mats = sample_gee_entries(n, 0.3, np.random.default_rng(SEED), 5)
+    mats[3, 1, 0] = bad
+    with pytest.raises(EigensolverError):
+        eigvals_batch(mats)
 
 
 def m_values(m: GeeMatrix) -> np.ndarray:
