@@ -24,17 +24,7 @@ from .errors import (
     SampleFlaggedError,
     SamplerError,
 )
-from .gee import (
-    GeeMatrix,
-    RealSpectrumPoint,
-    Spectrum,
-    count_unstable,
-    log_eigenvalue_density,
-    prob_k_real,
-    ranked_eigenvalue,
-    sample_gee,
-    spectrum,
-)
+from .gee import log_eigenvalue_density, prob_k_real
 from .montecarlo import (
     DimensionLiftReport,
     IntervalB,
@@ -89,7 +79,6 @@ __all__ = [
     "Equilibrium",
     "EquicountError",
     "FieldSample",
-    "GeeMatrix",
     "IntervalB",
     "MCEstimate",
     "ModelParams",
@@ -97,13 +86,10 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureToleranceError",
     "RateResult",
-    "RealSpectrumPoint",
     "SampleFlaggedError",
     "SamplerError",
-    "Spectrum",
     "TailRatePoint",
     "concentration_miss_fractions",
-    "count_unstable",
     "derive_seed",
     "derive_tau_b",
     "empirical_spectral_test",
@@ -126,12 +112,9 @@ __all__ = [
     "rate_fixed_index",
     "rate_function",
     "rate_lagrange_window",
-    "ranked_eigenvalue",
     "real_marginal_density",
     "sample_field",
-    "sample_gee",
     "sample_uniform_ellipse",
-    "spectrum",
     "substream",
     "tail_mass",
     "tail_quantile",

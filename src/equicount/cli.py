@@ -6,7 +6,8 @@ when writing to a file. Every output embeds the resolved parameters (and the
 derived (tau, b) where applicable) so results are self-describing.
 
 Exit codes: 0 success, 2 parameter-constraint violation, 3 failed statistical
-gate (z >= 3 in verification commands), 4 I/O error.
+gate (z >= 3 in verification commands, or too few contributing trials), 4 I/O
+error.
 
 Seeding: the master seed (--seed, default from EQUICOUNT_SEED or 0) is mapped
 to a per-command stream, which estimators split into per-batch substreams by
@@ -33,6 +34,7 @@ from . import __version__
 from .errors import ConstraintError, DomainError, EquicountError
 from .gee import eigvals_batch, sample_gee_entries
 from .montecarlo import (
+    MIN_HITS,
     IntervalB,
     empirical_spectral_test,
     empirical_tail_rate,
@@ -48,7 +50,7 @@ from .rates import (
     rate_lagrange_window,
     threshold_tau,
 )
-from .sampling import derive_seed, substream, z_score
+from .sampling import batch_sizes, derive_seed, substream, z_score
 from .sphere_field import field_model_params, oracle_mean_counts
 
 #: Stable per-command stream indices (part of the seeding contract).
@@ -68,11 +70,11 @@ _COMMAND_STREAMS = {
 Z_GATE = 3.0
 
 
-def _tagged(value: float):
-    """JSON encoding for possibly-infinite rates."""
-    if math.isinf(value):
+def _json_cell(value):
+    """JSON encoding of a table cell: infinities become tagged objects."""
+    if isinstance(value, float) and math.isinf(value):
         return {"kind": "-inf" if value < 0 else "inf"}
-    return {"kind": "finite", "value": value}
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -134,8 +136,13 @@ def _csv_payload(config: dict, header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_payload(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+def _emit_record(args, op: str, params: dict, **fields) -> None:
+    """Write one JSON record: the command, its resolved parameters and its
+    results, plus the master seed (when the command takes one) and the version."""
+    record = {"op": op, "params": params, **fields, "version": __version__}
+    if hasattr(args, "seed"):
+        record["seed"] = args.seed
+    _write_output(args.out, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_table(args, command: str, config: dict, header: list[str], rows: list[list]) -> None:
@@ -152,18 +159,8 @@ def _emit_table(args, command: str, config: dict, header: list[str], rows: list[
         ]
         _write_output(args.out, _csv_payload(config, header, text_rows))
         return
-    results = []
-    for row in rows:
-        cell = {}
-        for key, value in zip(header, row):
-            if isinstance(value, float) and math.isinf(value):
-                value = _tagged(value)
-            cell[key] = value
-        results.append(cell)
-    record = {"op": command, "params": config, "results": results, "version": __version__}
-    if hasattr(args, "seed"):
-        record["seed"] = args.seed
-    _write_output(args.out, _json_payload(record))
+    results = [dict(zip(header, map(_json_cell, row))) for row in rows]
+    _emit_record(args, command, config, results=results)
 
 
 def _model_params(args) -> ModelParams:
@@ -229,21 +226,16 @@ def _cmd_sample_gee(args) -> int:
         "trials": args.trials, "seed": args.seed,
     }
     rows = []
-    done = 0
-    batch_index = 0
-    while done < args.trials:
-        take = min(1024, args.trials - done)
+    for batch_index, take in batch_sizes(args.trials, 1024):
         mats = sample_gee_entries(args.n, args.tau, substream(seed, batch_index), take)
         values, is_real = eigvals_batch(mats)
         for t in range(take):
             for j in range(args.n):
                 rows.append([
-                    done + t, j + 1,
+                    1024 * batch_index + t, j + 1,
                     float(values[t, j].real), float(values[t, j].imag),
                     int(is_real[t, j]),
                 ])
-        done += take
-        batch_index += 1
     _emit_table(args, "sample-gee", config, ["trial_index", "j", "re", "im", "is_real"], rows)
     return 0
 
@@ -252,14 +244,8 @@ def _cmd_spectral_test(args) -> int:
     _require_at_least("spectral-test", "--trials", args.trials, 1)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["spectral-test"])
     ks = empirical_spectral_test(args.n, args.tau, args.trials, seed)
-    record = {
-        "op": "spectral-test",
-        "params": {"n": args.n, "tau": args.tau, "trials": args.trials},
-        "ks_distance": ks,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    _write_output(args.out, _json_payload(record))
+    params = {"n": args.n, "tau": args.tau, "trials": args.trials}
+    _emit_record(args, "spectral-test", params, ks_distance=ks)
     return 0
 
 
@@ -273,21 +259,13 @@ def _cmd_estimate(args) -> int:
         args.n, args.m, p, window, n_trials=args.trials, seed=seed,
         index_variant=args.index_variant,
     )
-    record = {
-        "op": "estimate",
-        "params": {
-            "n": args.n, "m": args.m, "phi1": args.phi1, "dphi1": args.dphi1,
-            "phi2": args.phi2, "sigma2": args.sigma2, "lo": _fmt(window.lo),
-            "hi": _fmt(window.hi), "trials": args.trials,
-            "index_variant": args.index_variant, "tau": tau, "b": b,
-        },
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n_trials": est.n_trials,
-        "seed": args.seed,
-        "version": __version__,
+    params = {
+        "n": args.n, "m": args.m, "phi1": args.phi1, "dphi1": args.dphi1,
+        "phi2": args.phi2, "sigma2": args.sigma2, "lo": _fmt(window.lo),
+        "hi": _fmt(window.hi), "trials": args.trials,
+        "index_variant": args.index_variant, "tau": tau, "b": b,
     }
-    _write_output(args.out, _json_payload(record))
+    _emit_record(args, "estimate", params, mean=est.mean, stderr=est.stderr, n_trials=est.n_trials)
     return 0
 
 
@@ -299,21 +277,22 @@ def _cmd_verify_uppingdim(args) -> int:
         args.n, args.m, args.tau, IntervalB(args.lo, args.hi),
         n_trials=args.trials, seed=seed,
     )
-    record = {
-        "op": "verify-uppingdim",
-        "params": {
-            "n": args.n, "m": args.m, "tau": args.tau,
-            "lo": args.lo, "hi": args.hi, "trials": args.trials,
-        },
-        "results": [
-            {"side": "lhs", "mean": report.lhs.mean, "stderr": report.lhs.stderr},
-            {"side": "rhs", "mean": report.rhs.mean, "stderr": report.rhs.stderr},
-        ],
-        "z_score": report.z_score,
-        "seed": args.seed,
-        "version": __version__,
+    params = {
+        "n": args.n, "m": args.m, "tau": args.tau,
+        "lo": args.lo, "hi": args.hi, "trials": args.trials,
     }
-    _write_output(args.out, _json_payload(record))
+    results = [
+        {"side": "lhs", "mean": report.lhs.mean, "stderr": report.lhs.stderr},
+        {"side": "rhs", "mean": report.rhs.mean, "stderr": report.rhs.stderr},
+    ]
+    _emit_record(args, "verify-uppingdim", params, results=results, z_score=report.z_score)
+    # A window the spectra rarely reach gives two near-zero sides whose
+    # z-score passes vacuously.
+    if min(report.lhs_support, report.rhs_support) < MIN_HITS:
+        print(f"equicount: verify-uppingdim gate lacks support: {report.lhs_support} lhs and "
+              f"{report.rhs_support} rhs contributing trials, needs >= {MIN_HITS} on each side",
+              file=sys.stderr)
+        return 3
     return 0 if report.z_score < Z_GATE else 3
 
 
@@ -368,21 +347,15 @@ def _cmd_oracle_compare(args) -> int:
     total_se = math.sqrt(total_est_var + oracle.total.stderr**2)
     total_z = total_gap / total_se if total_se > 0 else (0.0 if total_gap == 0 else math.inf)
     worst = max(worst, total_z)
-    record = {
-        "op": "oracle-compare",
-        "params": {
-            "n": args.n, "sigma2": args.sigma2, "samples": args.samples,
-            "trials": args.trials, "tau": tau, "b": b,
-        },
-        "results": comparisons,
-        "total": {
-            "estimate": total_est_mean, "oracle": oracle.total.mean, "z_score": total_z,
-        },
-        "flagged_rate": oracle.flagged_rate,
-        "seed": args.seed,
-        "version": __version__,
+    params = {
+        "n": args.n, "sigma2": args.sigma2, "samples": args.samples,
+        "trials": args.trials, "tau": tau, "b": b,
     }
-    _write_output(args.out, _json_payload(record))
+    total = {"estimate": total_est_mean, "oracle": oracle.total.mean, "z_score": total_z}
+    _emit_record(
+        args, "oracle-compare", params,
+        results=comparisons, total=total, flagged_rate=oracle.flagged_rate,
+    )
     return 0 if worst < Z_GATE else 3
 
 

@@ -1,4 +1,4 @@
-"""The Gaussian Elliptic Ensemble: sampling, ordered spectra, joint density.
+"""The Gaussian Elliptic Ensemble: batch sampling, ordered spectra, joint density.
 
 The ensemble at size n and parameter tau in (-1, 1] consists of real n x n
 matrices with E[X_ij X_lk] = (delta_il delta_jk + tau delta_ik delta_jl) / n.
@@ -7,101 +7,33 @@ variance 1/n and a, b = (sqrt(1+tau) +- sqrt(1-tau)) / 2, which gives
 a^2 + b^2 = 1 and 2ab = tau. tau = 0 is the real Ginibre ensemble, tau = 1
 the GOE.
 
-Ordering convention: eigenvalues sorted by decreasing real part; among members
-of a conjugate pair the one with positive imaginary part comes first. Realness
-is structural, never an |Im| < eps test, so events like {lambda_m real} carry
-no threshold bias. For n = 2 and 3 the batch solver uses closed forms of the
-characteristic polynomial and reads realness from the sign of its
-discriminant, a statement about the entries. For larger n it reads the
-LAPACK drivers, which set the imaginary part of real eigenvalues to an exact
-zero. The single-matrix :func:`spectrum` reads the 1 x 1 vs 2 x 2 blocks of
-the real Schur form and serves as the independent reference.
+There is one spectrum path: :func:`sample_gee_entries` draws a stack and
+:func:`eigvals_batch` orders its eigenvalues. Ordering convention: decreasing
+real part; among members of a conjugate pair the one with positive imaginary
+part comes first. Realness is structural, never an |Im| < eps test, so events
+like {lambda_m real} carry no threshold bias. For n = 2 and 3 the batch solver
+uses closed forms of the characteristic polynomial and reads realness from the
+sign of its discriminant, a statement about the entries. For larger n it reads
+the LAPACK drivers, which set the imaginary part of real eigenvalues to an
+exact zero. The test suite checks both against the block structure of the
+real Schur form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DomainError, EigensolverError
 from .sampling import DEFAULT_BATCH_SIZE, MCEstimate, batch_sizes, substream
 from .special_functions import log_erfc, log_norm_constant
 
 
-@dataclass(frozen=True)
-class GeeMatrix:
-    """A sampled ensemble member."""
-
-    n: int
-    tau: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.n, self.n):
-            raise DomainError(
-                f"entries shape {self.entries.shape} does not match n={self.n}"
-            )
-        if not np.all(np.isfinite(self.entries)):
-            raise DomainError("matrix entries must be finite")
-
-
-@dataclass(frozen=True)
-class RealSpectrumPoint:
-    """One ordered eigenvalue with its structural realness flag."""
-
-    re: float
-    im: float
-    is_real: bool
-
-    def __post_init__(self):
-        if self.is_real and self.im != 0.0:
-            raise DomainError("structurally real eigenvalues must have im == 0 exactly")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ordered eigenvalues of one matrix.
-
-    ``values`` is complex, sorted by decreasing real part with the positive
-    imaginary member of each conjugate pair first; ``is_real`` marks the
-    structurally real entries. Exactly equal real parts beyond the
-    conjugate-pair rule are measure zero and resolved by a stable sort that
-    preserves conjugate adjacency.
-    """
-
-    values: np.ndarray
-    is_real: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if self.values.shape != (self.n,) or self.is_real.shape != (self.n,):
-            raise DomainError("spectrum arrays must have shape (n,)")
-
-    @property
-    def k_real(self) -> int:
-        return int(self.is_real.sum())
-
-
 def _mixing_coefficients(tau: float) -> tuple[float, float]:
     a = 0.5 * (math.sqrt(1.0 + tau) + math.sqrt(1.0 - tau))
     b = 0.5 * (math.sqrt(1.0 + tau) - math.sqrt(1.0 - tau))
     return a, b
-
-
-def sample_gee(n: int, tau: float, rng: np.random.Generator) -> GeeMatrix:
-    """Draw one ensemble member (tau = 1 gives an exactly symmetric matrix)."""
-    if n < 1:
-        raise DomainError(f"sample_gee requires n >= 1, got {n}")
-    tau = float(tau)
-    if not -1.0 < tau <= 1.0:
-        raise DomainError(f"sample_gee requires -1 < tau <= 1, got tau={tau}")
-    a, b = _mixing_coefficients(tau)
-    g = rng.standard_normal((n, n)) / math.sqrt(n)
-    entries = a * g + b * g.T
-    return GeeMatrix(n=n, tau=tau, entries=entries)
 
 
 def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -117,39 +49,6 @@ def _order_key(values: np.ndarray) -> np.ndarray:
     # Complex sort is lexicographic (real, then imaginary); negating both parts
     # yields decreasing real part with +im before -im inside a conjugate pair.
     return -values.real - 1j * values.imag
-
-
-def spectrum(m: GeeMatrix) -> Spectrum:
-    """Ordered spectrum via the real Schur form.
-
-    1 x 1 diagonal blocks are the structurally real eigenvalues; 2 x 2 blocks
-    carry conjugate pairs (LAPACK standardizes blocks so a 2 x 2 block never
-    holds real eigenvalues).
-    """
-    try:
-        t_mat, _ = linalg.schur(m.entries, output="real")
-    except (linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverError(f"real Schur decomposition failed: {exc}", matrix=m.entries) from exc
-    n = m.n
-    values = np.empty(n, dtype=complex)
-    is_real = np.zeros(n, dtype=bool)
-    i = 0
-    while i < n:
-        if i + 1 < n and t_mat[i + 1, i] != 0.0:
-            a_, b_ = t_mat[i, i], t_mat[i, i + 1]
-            c_, d_ = t_mat[i + 1, i], t_mat[i + 1, i + 1]
-            re = 0.5 * (a_ + d_)
-            disc = (a_ - d_) ** 2 + 4.0 * b_ * c_
-            im = 0.5 * math.sqrt(-disc)
-            values[i] = re + 1j * im
-            values[i + 1] = re - 1j * im
-            i += 2
-        else:
-            values[i] = t_mat[i, i]
-            is_real[i] = True
-            i += 1
-    order = np.argsort(_order_key(values), kind="stable")
-    return Spectrum(values=values[order], is_real=is_real[order], n=n)
 
 
 _TRIG_PHASES = np.array([0.0, 2.0, 4.0]) * (math.pi / 3.0)
@@ -234,9 +133,8 @@ def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     real): an exact-arithmetic statement about the entries, not an
     |Im| < eps test. Larger n goes through the LAPACK nonsymmetric
     eigensolver, whose real eigenvalues come back with an exact zero
-    imaginary part. Both criteria agree with the Schur-block classification
-    of :func:`spectrum`. Non-finite entries raise :class:`EigensolverError`
-    on every path.
+    imaginary part. Non-finite entries raise :class:`EigensolverError` on
+    every path.
     """
     batch, n, _ = mats.shape
     if n in (2, 3) and not np.isfinite(mats).all():
@@ -266,19 +164,6 @@ def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.take_along_axis(values, order, axis=1)
     is_real = np.take_along_axis(is_real, order, axis=1)
     return values, is_real
-
-
-def ranked_eigenvalue(s: Spectrum, rank: int) -> RealSpectrumPoint:
-    """The rank-th eigenvalue (1-indexed from the largest real part)."""
-    if not 1 <= rank <= s.n:
-        raise IndexError(f"rank must be in [1, {s.n}], got {rank}")
-    value = s.values[rank - 1]
-    return RealSpectrumPoint(re=float(value.real), im=float(value.imag), is_real=bool(s.is_real[rank - 1]))
-
-
-def count_unstable(s: Spectrum, t: float) -> int:
-    """Number of eigenvalues with real part - t >= 0."""
-    return int((s.values.real >= t).sum())
 
 
 def log_eigenvalue_density(sigmas, xs, ys, n: int, tau: float) -> float:

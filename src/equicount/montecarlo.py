@@ -77,11 +77,24 @@ class IntervalB:
 
 FULL_LINE = IntervalB(-math.inf, math.inf)
 
+#: Fewest contributing trials a statistical check may rest on.
+MIN_HITS = 30
+
 
 def _eig_batches(n: int, tau: float, n_trials: int, seed: int, batch_size: int):
     for index, take in batch_sizes(n_trials, batch_size):
         mats = sample_gee_entries(n, tau, substream(seed, index), take)
         yield eigvals_batch(mats)
+
+
+def _ranked_in_window(n: int, tau: float, rank0: int, scale: float, window: IntervalB,
+                      n_trials: int, seed: int, batch_size: int):
+    """Yield, batch by batch, the real part of the eigenvalue at 0-based rank
+    ``rank0`` and the mask of trials where it is real with scale * value in
+    ``window``."""
+    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size):
+        lam = values[:, rank0].real
+        yield lam, is_real[:, rank0] & window.contains(scale * lam)
 
 
 def _count_contributions(
@@ -115,11 +128,8 @@ def _count_contributions(
     )
     taper = n * (1.0 - b * b) / (2.0 * (b * b + tau) * (1.0 + tau))
     scale = math.sqrt(p.dphi1)
-    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size):
-        lam = values[:, rank0].real
-        live = is_real[:, rank0] & window.contains(scale * lam)
-        contrib = np.where(live, np.exp(log_pref - taper * lam * lam), 0.0)
-        yield contrib
+    for lam, live in _ranked_in_window(n, tau, rank0, scale, window, n_trials, seed, batch_size):
+        yield np.where(live, np.exp(log_pref - taper * lam * lam), 0.0)
 
 
 def estimate_equilibria_count(
@@ -142,12 +152,15 @@ def estimate_equilibria_count(
 
 @dataclass(frozen=True)
 class DimensionLiftReport:
-    """Both sides of the dimension-lift identity with their discrepancy."""
+    """Both sides of the dimension-lift identity with their discrepancy, and
+    the number of trials contributing a nonzero value to each side."""
 
     lhs: MCEstimate
     rhs: MCEstimate
     z_score: float
     quadrature_panels: int
+    lhs_support: int
+    rhs_support: int
 
 
 def verify_dimension_lift(
@@ -172,7 +185,8 @@ def verify_dimension_lift(
     (n-1) x (n-1) spectra across nodes (so the quadrature refinement is
     noise-free), the right side by plain Monte Carlo over n x n matrices.
     Panels double until the quadrature change drops below the Monte Carlo
-    standard error. Returns both estimates and their z-score.
+    standard error. Returns both estimates, their z-score and the number of
+    contributing trials on each side.
     """
     if n < 2:
         raise DomainError(f"requires n >= 2, got n={n}")
@@ -230,14 +244,19 @@ def verify_dimension_lift(
         - 0.5 * n * math.log(n - 1.0)
     )
     const = math.exp(log_const)
+    root_n = math.sqrt(n)
     rhs_moments = RunningMoments()
-    for values, is_real in _eig_batches(n, tau, n_trials, seed_rhs, batch_size):
-        lam = values[:, m].real  # rank m+1, 0-based index m
-        live = is_real[:, m] & window.contains(math.sqrt(n) * lam)
+    rhs_support = 0
+    # Rank m+1 is 0-based index m.
+    for _, live in _ranked_in_window(n, tau, m, root_n, window, n_trials, seed_rhs, batch_size):
         rhs_moments.add(np.where(live, const, 0.0))
+        rhs_support += int(live.sum())
     rhs = rhs_moments.estimate(seed_rhs)
 
-    return DimensionLiftReport(lhs=lhs, rhs=rhs, z_score=z_score(lhs, rhs), quadrature_panels=panels)
+    return DimensionLiftReport(
+        lhs=lhs, rhs=rhs, z_score=z_score(lhs, rhs), quadrature_panels=panels,
+        lhs_support=int(np.count_nonzero(y)), rhs_support=rhs_support,
+    )
 
 
 @dataclass(frozen=True)
@@ -264,7 +283,7 @@ def empirical_tail_rate(
     """-(1/n) log P(rank-m eigenvalue real and >= x) across matrix sizes.
 
     The reference value m * I(x; tau) from the large-deviation law is
-    attached; points with fewer than 30 hits are flagged insufficient
+    attached; points with fewer than MIN_HITS hits are flagged insufficient
     (rate_hat is +inf when no trial hits).
     """
     if m < 1:
@@ -275,23 +294,17 @@ def empirical_tail_rate(
         if not m <= n:
             raise DomainError(f"requires m <= n, got m={m}, n={n}")
     reference = m * rate_function(x, tau)
+    tail = IntervalB(x, math.inf)
     out = []
     for i, n in enumerate(n_list):
-        hits = 0
-        for values, is_real in _eig_batches(n, tau, n_trials, derive_seed(seed, i), batch_size):
-            lam = values[:, m - 1]
-            hits += int((is_real[:, m - 1] & (lam.real >= x)).sum())
+        batches = _ranked_in_window(n, tau, m - 1, 1.0, tail, n_trials, derive_seed(seed, i),
+                                    batch_size)
+        hits = sum(int(live.sum()) for _, live in batches)
         rate_hat = math.inf if hits == 0 else -math.log(hits / n_trials) / n
-        out.append(
-            TailRatePoint(
-                n=n,
-                rate_hat=rate_hat,
-                hits=hits,
-                n_trials=n_trials,
-                reference=reference,
-                sufficient=hits >= 30,
-            )
-        )
+        out.append(TailRatePoint(
+            n=n, rate_hat=rate_hat, hits=hits, n_trials=n_trials,
+            reference=reference, sufficient=hits >= MIN_HITS,
+        ))
     return out
 
 
@@ -343,9 +356,8 @@ def concentration_miss_fractions(
         rank0 = math.ceil(gamma * n) - 1
         if not 0 <= rank0 < n:
             raise DomainError(f"ceil(gamma n) out of range for n={n}")
-        missed = 0
-        for values, _ in _eig_batches(n, tau, n_trials, derive_seed(seed, i), batch_size):
-            re = values[:, rank0].real
-            missed += int(((re <= s - epsilon) | (re >= s + epsilon)).sum())
+        batches = _ranked_in_window(n, tau, rank0, 1.0, FULL_LINE, n_trials,
+                                    derive_seed(seed, i), batch_size)
+        missed = sum(int(((re <= s - epsilon) | (re >= s + epsilon)).sum()) for re, _ in batches)
         out.append((n, missed / n_trials))
     return out

@@ -142,10 +142,11 @@ def rate_diverging_index(b: float, tau: float, gamma: float) -> RateResult:
     return RateResult(rate=rate, branch="diverging")
 
 
-def _multiplier_exponent(c: float, b: float, tau: float, dphi1: float, index_weight: int) -> float:
-    """Rate at multiplier value c above the threshold (strictly decreasing in c)."""
+def _multiplier_exponent(c: float, b: float, tau: float, dphi1: float, m: int) -> float:
+    """Index-m rate at multiplier value c above the threshold (strictly
+    decreasing in c)."""
     quad = (1.0 - b * b) * c * c / (2.0 * dphi1 * (b * b + tau) * (1.0 + tau))
-    return math.log(1.0 / b) - quad - index_weight * rate_function(c / math.sqrt(dphi1), tau)
+    return math.log(1.0 / b) - quad - (m + 1) * rate_function(c / math.sqrt(dphi1), tau)
 
 
 def rate_lagrange_window(
@@ -155,7 +156,6 @@ def rate_lagrange_window(
     m: int,
     c: float,
     d: float,
-    prose_index: bool = False,
 ) -> RateResult:
     """Growth rate of equilibria with index m and multiplier in the window (c, d).
 
@@ -174,8 +174,8 @@ def rate_lagrange_window(
     the edge and the quadratic term reduces to the fixed-index one); a window
     with d = threshold still excludes the threshold, so it gets -inf.
 
-    ``prose_index`` swaps the (m+1) weight for m (requires m >= 1); the
-    default weight is the one the brute-force sphere comparison confirms.
+    The weight m+1 of the rate function is the one the brute-force sphere
+    comparison confirms.
     """
     _check_rate_domain(b, tau)
     if not dphi1 > 0.0:
@@ -184,15 +184,12 @@ def rate_lagrange_window(
         raise DomainError(f"requires m >= 0, got m={m}")
     if not c < d:
         raise DomainError(f"requires c < d, got c={c}, d={d}")
-    index_weight = m if prose_index else m + 1
-    if prose_index and m < 1:
-        raise DomainError("prose_index variant needs m >= 1")
     threshold = (1.0 + tau) * math.sqrt(dphi1)
 
     if c < threshold < d:
         return RateResult(rate=rate_fixed_index(b, tau).rate, branch="lagrange_straddle")
     if c > threshold:
-        rate = _multiplier_exponent(c, b, tau, dphi1, index_weight)
+        rate = _multiplier_exponent(c, b, tau, dphi1, m)
         return RateResult(rate=rate, branch="lagrange_above")
     if d < threshold:
         return RateResult(rate=-math.inf, branch="lagrange_below")
@@ -221,7 +218,6 @@ def multiplier_cutoff(
     dphi1: float,
     m: int,
     tol: float = 1e-10,
-    prose_index: bool = False,
 ) -> float:
     """The multiplier value above which index-m equilibria become rare.
 
@@ -241,13 +237,10 @@ def multiplier_cutoff(
         raise DomainError(f"requires dphi1 > 0, got {dphi1}")
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    index_weight = m if prose_index else m + 1
-    if prose_index and m < 1:
-        raise DomainError("prose_index variant needs m >= 1")
     threshold = (1.0 + tau) * math.sqrt(dphi1)
 
     def g(c: float) -> float:
-        return -_multiplier_exponent(c, b, tau, dphi1, index_weight)
+        return -_multiplier_exponent(c, b, tau, dphi1, m)
 
     if not g(threshold) < 0.0:
         raise ConstraintError(

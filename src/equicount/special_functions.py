@@ -26,22 +26,15 @@ from scipy import special
 
 from .errors import DomainError, QuadratureToleranceError
 
-# Dispatch threshold below which the tau = 0 branch of the rate function is
-# used; branch agreement across the switch is covered by the acceptance suite.
-TAU_ZERO_SWITCH = 1e-12
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the 2-D ellipse integrals.
-
-    ``mc_samples`` is only consumed by the stratified-sampling method.
-    """
+    """Tolerances and per-rule panel budget of the adaptive 2-D ellipse
+    integrals; running out of panels raises QuadratureToleranceError."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     max_subdivisions: int = 400
-    mc_samples: int = 100_000
 
     def __post_init__(self):
         if not self.abs_tol > 0:
@@ -50,8 +43,6 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-        if self.mc_samples < 1:
-            raise DomainError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -81,12 +72,13 @@ def rate_function(x: float, tau: float) -> float:
     Returns +inf for x < 1 + tau. On [1 + tau, inf) the value is nonnegative,
     vanishes exactly at the edge x = 1 + tau and is strictly increasing.
 
-    With s = sqrt(x^2 - 4 tau), the tau != 0 branch is
+    With s = sqrt(x^2 - 4 tau) the value is
 
         x^2 / (2 (1+tau)) - x / (x + s) - log((x + s) / 2),
 
-    where x/(x+s) is the cancellation-free rewrite of x (x - s) / (4 tau);
-    the tau = 0 branch is -log x + x^2/2 - 1/2.
+    where x/(x+s) is the cancellation-free rewrite of x (x - s) / (4 tau).
+    One formula covers every tau: at tau = 0, s = x exactly and it reduces
+    term by term to x^2/2 - 1/2 - log x.
     """
     tau = float(tau)
     x = float(x)
@@ -94,8 +86,6 @@ def rate_function(x: float, tau: float) -> float:
         raise DomainError(f"rate_function requires -1 < tau < 1, got tau={tau}")
     if x < 1.0 + tau:
         return math.inf
-    if abs(tau) < TAU_ZERO_SWITCH:
-        return -math.log(x) + 0.5 * x * x - 0.5
     # x >= 1 + tau and |tau| < 1 give x^2 - 4 tau >= (1 - tau)^2 >= 0, so the
     # principal real root is always defined here.
     s = math.sqrt(x * x - 4.0 * tau)
@@ -245,43 +235,22 @@ def _potential_polar(x: float, y: float, tau: float, spec: QuadratureSpec) -> fl
     return value
 
 
-def _potential_stratified(x: float, y: float, tau: float, spec: QuadratureSpec) -> float:
-    """phi via deterministic stratified sampling (cell centroids).
-
-    (sqrt(u) cos t, sqrt(u) sin t) with (u, t) uniform on the unit square is
-    area-uniform on the disk, hence its image is uniform on the ellipse. One
-    centroid per cell of an s x s grid, s = floor(sqrt(mc_samples)).
-    """
-    side = max(1, int(math.isqrt(spec.mc_samples)))
-    centers = (np.arange(side) + 0.5) / side
-    uu, tt = np.meshgrid(centers, centers * 2.0 * math.pi, indexing="ij")
-    rr = np.sqrt(uu)
-    dx = x - (1.0 + tau) * rr * np.cos(tt)
-    dy = y - (1.0 - tau) * rr * np.sin(tt)
-    return float(np.mean(0.5 * np.log(dx * dx + dy * dy)))
-
-
 def log_potential(
     x: float,
     y: float,
     tau: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    method: str = "adaptive",
 ) -> float:
     """int over the ellipse of log|x + iy - w| under the uniform law.
 
-    ``method`` is "adaptive" (deterministic, honors abs_tol/rel_tol, raises
-    QuadratureToleranceError on budget exhaustion) or "stratified"
-    (deterministic centroid sampling with mc_samples points, no error bound).
+    Deterministic nested adaptive Gauss-Legendre quadrature that honors the
+    tolerances of ``spec`` and raises QuadratureToleranceError when its panel
+    budget runs out.
     """
     tau = float(tau)
     if not -1.0 < tau < 1.0:
         raise DomainError(f"log_potential requires -1 < tau < 1, got tau={tau}")
-    if method == "adaptive":
-        return _potential_polar(float(x), float(y), tau, spec)
-    if method == "stratified":
-        return _potential_stratified(float(x), float(y), tau, spec)
-    raise DomainError(f"unknown method {method!r}; expected 'adaptive' or 'stratified'")
+    return _potential_polar(float(x), float(y), tau, spec)
 
 
 def tilted_potential(
@@ -289,7 +258,6 @@ def tilted_potential(
     y: float,
     tau: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    method: str = "adaptive",
 ) -> float:
     """Logarithmic potential minus its Gaussian weight:
 
@@ -298,7 +266,7 @@ def tilted_potential(
     For x >= 1 + tau this is maximized on the real axis (y = 0), where it
     equals -(rate_function(x, tau) + 1/2).
     """
-    phi = log_potential(x, y, tau, spec=spec, method=method)
+    phi = log_potential(x, y, tau, spec=spec)
     return phi - x * x / (2.0 * (1.0 + tau)) - y * y / (2.0 * (1.0 - tau))
 
 

@@ -160,6 +160,19 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(text)["z_score"] < 3.0
 
+    def test_window_without_support_fails_gate(self, tmp_path, capsys):
+        # No spectrum reaches [10, 11): both sides are exactly 0 with zero
+        # standard error, a z-score of 0 that must not pass.
+        code, text = run_to_file(
+            tmp_path, "v.json",
+            ["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3", "--lo", "10",
+             "--hi", "11", "--trials", "1000", "--seed", "1"],
+        )
+        assert code == 3
+        assert json.loads(text)["z_score"] == 0.0
+        err = capsys.readouterr().err
+        assert "0 lhs and 0 rhs contributing trials" in err
+
 
 class TestOracleCompareCommand:
     def test_equilibria_dump_schema(self, tmp_path):
@@ -231,6 +244,24 @@ def _refuse_sampling(monkeypatch):
 
 ESTIMATE = ["estimate", "--n", "3", "--m", "0", "--phi1", "1", "--dphi1", "2",
             "--phi2", "0", "--sigma2", "0.25"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["spectral-test", "--n", "50", "--tau", "0.3", "--trials", "2"], {"ks_distance"}),
+    (ESTIMATE + ["--trials", "1000"], {"mean", "stderr", "n_trials"}),
+    (["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0", "--trials", "2000"],
+     {"results", "z_score"}),
+    (["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "10", "--trials", "1000"],
+     {"results", "total", "flagged_rate"}),
+    (["ldp-tail", "--n-list", "4", "--x", "1.3", "--tau", "0", "--trials", "100",
+      "--format", "json"], {"results"}),
+], ids=["spectral-test", "estimate", "verify-uppingdim", "oracle-compare", "ldp-tail"])
+def test_json_record_top_level_keys(tmp_path, argv, keys):
+    code, text = run_to_file(tmp_path, "r.json", argv + ["--seed", "3"])
+    assert code == 0
+    record = json.loads(text)
+    assert set(record) == {"op", "params", "seed", "version"} | keys
+    assert record["op"] == argv[0] and record["seed"] == 3
 
 
 @pytest.mark.parametrize("argv, bound", [

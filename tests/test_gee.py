@@ -10,53 +10,76 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 
 from equicount.errors import DomainError, EigensolverError
 from equicount.gee import (
-    GeeMatrix,
     _order_key,
-    count_unstable,
     eigvals_batch,
     log_eigenvalue_density,
     prob_k_real,
-    ranked_eigenvalue,
-    sample_gee,
     sample_gee_entries,
-    spectrum,
 )
 from equicount.sampling import substream
 
 SEED = 31337
 
 
-def spectrum_of(entries: np.ndarray, tau: float = 0.0):
-    entries = np.asarray(entries, dtype=float)
-    return spectrum(GeeMatrix(n=entries.shape[0], tau=tau, entries=entries))
+def schur_spectrum(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered spectrum and realness read from the real Schur form.
+
+    An independent reference for ``eigvals_batch``: 1 x 1 diagonal blocks
+    are the real eigenvalues, 2 x 2 blocks carry conjugate pairs (LAPACK
+    standardizes the blocks so a 2 x 2 block never holds real eigenvalues).
+    """
+    t_mat, _ = linalg.schur(np.asarray(entries, dtype=float), output="real")
+    n = t_mat.shape[0]
+    values = np.empty(n, dtype=complex)
+    is_real = np.zeros(n, dtype=bool)
+    i = 0
+    while i < n:
+        if i + 1 < n and t_mat[i + 1, i] != 0.0:
+            a_, b_ = t_mat[i, i], t_mat[i, i + 1]
+            c_, d_ = t_mat[i + 1, i], t_mat[i + 1, i + 1]
+            re = 0.5 * (a_ + d_)
+            im = 0.5 * math.sqrt(-((a_ - d_) ** 2 + 4.0 * b_ * c_))
+            values[i] = re + 1j * im
+            values[i + 1] = re - 1j * im
+            i += 2
+        else:
+            values[i] = t_mat[i, i]
+            is_real[i] = True
+            i += 1
+    order = np.argsort(_order_key(values), kind="stable")
+    return values[order], is_real[order]
+
+
+def spectrum_of(entries) -> tuple[np.ndarray, np.ndarray]:
+    """``eigvals_batch`` on a single matrix: (values, is_real) of shape (n,)."""
+    values, is_real = eigvals_batch(np.asarray(entries, dtype=float)[None])
+    return values[0], is_real[0]
 
 
 class TestSampleGee:
     def test_domain(self):
         rng = np.random.default_rng(SEED)
         with pytest.raises(DomainError):
-            sample_gee(3, -1.0, rng)
+            sample_gee_entries(3, -1.0, rng, 1)
         with pytest.raises(DomainError):
-            sample_gee(3, 1.2, rng)
-        with pytest.raises(DomainError):
-            sample_gee(0, 0.0, rng)
+            sample_gee_entries(3, 1.2, rng, 1)
 
     def test_n1_variance(self):
         rng = np.random.default_rng(SEED)
         tau = 0.6
-        draws = np.array([sample_gee(1, tau, rng).entries[0, 0] for _ in range(40_000)])
+        draws = np.array([sample_gee_entries(1, tau, rng, 1)[0, 0, 0] for _ in range(40_000)])
         var = draws.var(ddof=1)
         se = var * math.sqrt(2.0 / len(draws))  # SE of a Gaussian variance estimate
         assert abs(var - (1.0 + tau)) < 4.0 * se
 
     def test_tau_one_symmetric(self):
         rng = np.random.default_rng(SEED)
-        m = sample_gee(8, 1.0, rng)
-        assert np.array_equal(m.entries, m.entries.T)
+        entries = sample_gee_entries(8, 1.0, rng, 1)[0]
+        assert np.array_equal(entries, entries.T)
 
     def test_covariance_structure(self):
         # n Cov entries: E[X12 X21] = tau/n, E[X12^2] = 1/n, E[X11^2] = (1+tau)/n.
@@ -73,30 +96,30 @@ class TestSampleGee:
 
 class TestSpectrum:
     def test_diagonal_ordering(self):
-        s = spectrum_of(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(s.values, [3.0, 2.0, 1.0])
-        assert s.k_real == 3
+        values, is_real = spectrum_of(np.diag([3.0, 1.0, 2.0]))
+        assert np.allclose(values, [3.0, 2.0, 1.0])
+        assert is_real.sum() == 3
 
     def test_rotation_convention(self):
         # [[0, -1], [1, 0]] has eigenvalues +-i; positive imaginary part first.
-        s = spectrum_of([[0.0, -1.0], [1.0, 0.0]])
-        assert s.values[0] == pytest.approx(1j)
-        assert s.values[1] == pytest.approx(-1j)
-        assert s.k_real == 0
+        values, is_real = spectrum_of([[0.0, -1.0], [1.0, 0.0]])
+        assert values[0] == pytest.approx(1j)
+        assert values[1] == pytest.approx(-1j)
+        assert is_real.sum() == 0
 
     def test_trace_and_determinant(self):
         rng = np.random.default_rng(SEED)
         entries = rng.standard_normal((8, 8))
-        s = spectrum_of(entries)
-        assert np.sum(s.values) == pytest.approx(np.trace(entries), rel=1e-8, abs=1e-8)
-        assert np.prod(s.values) == pytest.approx(np.linalg.det(entries), rel=1e-8)
+        values, _ = spectrum_of(entries)
+        assert np.sum(values) == pytest.approx(np.trace(entries), rel=1e-8, abs=1e-8)
+        assert np.prod(values) == pytest.approx(np.linalg.det(entries), rel=1e-8)
 
     def test_conjugate_closure_and_parity(self):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(50):
-            s = spectrum(sample_gee(7, 0.2, rng))
-            assert s.k_real % 2 == 7 % 2
-            complex_values = s.values[~s.is_real]
+            values, is_real = spectrum_of(sample_gee_entries(7, 0.2, rng, 1)[0])
+            assert is_real.sum() % 2 == 7 % 2
+            complex_values = values[~is_real]
             assert len(complex_values) % 2 == 0
             conj = np.sort_complex(np.conj(complex_values))
             assert np.allclose(np.sort_complex(complex_values), conj)
@@ -104,32 +127,31 @@ class TestSpectrum:
     def test_ordering_invariant(self):
         rng = np.random.default_rng(SEED + 2)
         for _ in range(25):
-            s = spectrum(sample_gee(9, -0.3, rng))
-            res = s.values.real
+            values, is_real = spectrum_of(sample_gee_entries(9, -0.3, rng, 1)[0])
+            res = values.real
             assert np.all(np.diff(res) <= 1e-14)
             # within a conjugate pair the +im entry comes first
             for i in range(8):
-                if not s.is_real[i] and s.values[i].imag > 0:
-                    assert s.values[i + 1] == np.conj(s.values[i])
+                if not is_real[i] and values[i].imag > 0:
+                    assert values[i + 1] == np.conj(values[i])
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(SEED + 3)
-        m = sample_gee(6, 0.4, rng)
+        entries = sample_gee_entries(6, 0.4, rng, 1)[0]
+        base, _ = spectrum_of(entries)
         for _ in range(20):
             t = rng.normal()
-            shifted = spectrum_of(m.entries - t * np.eye(6), tau=0.4)
-            assert np.allclose(
-                np.sort_complex(shifted.values), np.sort_complex(m_values(m) - t), atol=1e-10
-            )
+            shifted, _ = spectrum_of(entries - t * np.eye(6))
+            assert np.allclose(np.sort_complex(shifted), np.sort_complex(base - t), atol=1e-10)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_batch_matches_schur_realness(self, n):
         mats = sample_gee_entries(n, 0.3, np.random.default_rng(SEED + 4), 300)
         values, is_real = eigvals_batch(mats)
         for i in range(300):
-            s = spectrum_of(mats[i], tau=0.3)
-            assert s.k_real == int(is_real[i].sum())
-            assert np.allclose(s.values, values[i], atol=1e-9)
+            ref_values, ref_real = schur_spectrum(mats[i])
+            assert ref_real.sum() == int(is_real[i].sum())
+            assert np.allclose(ref_values, values[i], atol=1e-9)
 
 
 def assert_matches_lapack(mats: np.ndarray, tol: float):
@@ -189,27 +211,16 @@ def test_closed_forms_reject_non_finite_entries(n, bad):
         eigvals_batch(mats)
 
 
-def m_values(m: GeeMatrix) -> np.ndarray:
-    return spectrum(m).values
-
-
 class TestRankedEigenvalue:
     def test_real_entry(self):
-        s = spectrum_of(np.diag([3.0, 1.0, 2.0]))
-        point = ranked_eigenvalue(s, 2)
-        assert (point.re, point.im, point.is_real) == (2.0, 0.0, True)
+        values, is_real = spectrum_of(np.diag([3.0, 1.0, 2.0]))
+        point = (values[1].real, values[1].imag, bool(is_real[1]))
+        assert point == (2.0, 0.0, True)
 
     def test_complex_entry(self):
-        s = spectrum_of([[0.0, -1.0], [1.0, 0.0]])
-        point = ranked_eigenvalue(s, 1)
-        assert (point.re, point.im, point.is_real) == (0.0, 1.0, False)
-
-    def test_rank_bounds(self):
-        s = spectrum_of(np.diag([3.0, 1.0, 2.0]))
-        with pytest.raises(IndexError):
-            ranked_eigenvalue(s, 0)
-        with pytest.raises(IndexError):
-            ranked_eigenvalue(s, 4)
+        values, is_real = spectrum_of([[0.0, -1.0], [1.0, 0.0]])
+        point = (values[0].real, values[0].imag, bool(is_real[0]))
+        assert point == (0.0, 1.0, False)
 
     def test_realness_frequency_consistency(self):
         # P(rank-1 eigenvalue real) at n=2 equals P(k_real = 2).
@@ -223,22 +234,16 @@ class TestRankedEigenvalue:
 
 
 class TestCountUnstable:
-    def test_diag_split(self):
-        assert count_unstable(spectrum_of(np.diag([1.0, -1.0])), 0.0) == 1
-
-    def test_below_spectrum_counts_all(self):
-        s = spectrum_of(np.diag([3.0, 1.0, 2.0]))
-        assert count_unstable(s, 0.5) == 3
-
     def test_shift_oracle(self):
-        # Counting Re >= t on the spectrum agrees with a fresh eigensolve of X - tI.
+        # Counting Re >= t on the ordered spectrum (as the dimension-lift left
+        # side does across shifts) agrees with a fresh eigensolve of X - tI.
         rng = np.random.default_rng(SEED + 6)
         for _ in range(1000):
-            m = sample_gee(5, 0.25, rng)
+            entries = sample_gee_entries(5, 0.25, rng, 1)[0]
             t = rng.normal(scale=0.8)
-            s = spectrum(m)
-            direct = int((np.linalg.eigvals(m.entries - t * np.eye(5)).real >= 0).sum())
-            assert count_unstable(s, t) == direct
+            values, _ = spectrum_of(entries)
+            direct = int((np.linalg.eigvals(entries - t * np.eye(5)).real >= 0).sum())
+            assert int((values.real >= t).sum()) == direct
 
 
 class TestLogEigenvalueDensity:

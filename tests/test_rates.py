@@ -16,7 +16,6 @@ from equicount.rates import (
     rate_lagrange_window,
     threshold_tau,
 )
-from equicount.special_functions import rate_function
 
 SEED = 4242
 
@@ -184,14 +183,6 @@ class TestRateLagrangeWindow:
         a = rate_lagrange_window(0.4, 0.3, 2.0, 1, c, c + 0.1)
         b_ = rate_lagrange_window(0.4, 0.3, 2.0, 1, c, math.inf)
         assert a.rate == b_.rate
-
-    def test_prose_variant_differs_by_one_rate_unit(self):
-        b, tau, dphi1, m = 0.4, 0.3, 2.0, 2
-        threshold = (1.0 + tau) * math.sqrt(dphi1)
-        c = threshold * 1.4
-        default = rate_lagrange_window(b, tau, dphi1, m, c, math.inf).rate
-        prose = rate_lagrange_window(b, tau, dphi1, m, c, math.inf, prose_index=True).rate
-        assert prose - default == pytest.approx(rate_function(c / math.sqrt(dphi1), tau), rel=1e-12)
 
     def test_requires_c_below_d(self):
         with pytest.raises(DomainError):

@@ -152,11 +152,6 @@ class TestLogPotential:
         b = log_potential(2.0, -0.7, 0.3, QUAD)
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_stratified_method_agrees(self):
-        spec = QuadratureSpec(mc_samples=400_000)
-        a = log_potential(2.5, 0.0, 0.3, spec, method="stratified")
-        assert a == pytest.approx(log_potential(2.5, 0.0, 0.3, QUAD), abs=1e-4)
-
     def test_tolerance_error_carries_estimate(self):
         tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
         with pytest.raises(QuadratureToleranceError) as err:
@@ -231,5 +226,3 @@ class TestQuadratureSpec:
             QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(mc_samples=0)
