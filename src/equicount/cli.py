@@ -50,7 +50,7 @@ from .rates import (
     rate_lagrange_window,
     threshold_tau,
 )
-from .sampling import batch_sizes, derive_seed, substream, z_score
+from .sampling import MCEstimate, batch_sizes, derive_seed, substream, z_score
 from .sphere_field import field_model_params, oracle_mean_counts
 
 #: Stable per-command stream indices (part of the seeding contract).
@@ -343,9 +343,8 @@ def _cmd_oracle_compare(args) -> int:
             "oracle": oracle.per_m[m].mean, "oracle_stderr": oracle.per_m[m].stderr,
             "z_score": z,
         })
-    total_gap = abs(total_est_mean - oracle.total.mean)
-    total_se = math.sqrt(total_est_var + oracle.total.stderr**2)
-    total_z = total_gap / total_se if total_se > 0 else (0.0 if total_gap == 0 else math.inf)
+    total_est = MCEstimate(total_est_mean, math.sqrt(total_est_var), args.trials, seed)
+    total_z = z_score(total_est, oracle.total)
     worst = max(worst, total_z)
     params = {
         "n": args.n, "sigma2": args.sigma2, "samples": args.samples,

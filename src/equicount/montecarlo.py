@@ -14,8 +14,8 @@ the brute-force sphere count adjudicates the same way (see the acceptance
 suite). The legacy rank-m variant stays available behind ``index_variant``
 for the discrepancy report.
 
-Also here: the dimension-lift identity checker (outer Gauss-Legendre panels
-over the shift, inner Monte Carlo with common random numbers), empirical
+Also here: the dimension-lift identity checker (Monte Carlo on both sides,
+each left-side trial integrated over the shift in closed form), empirical
 tail-rate estimation for the large-deviation law, the elliptic-law
 Kolmogorov-Smirnov check, and the concentration proxy for the bulk-ranked
 eigenvalue.
@@ -45,7 +45,7 @@ from .sampling import (
     substream,
     z_score,
 )
-from .special_functions import QuadratureSpec, rate_function
+from .special_functions import rate_function
 
 __all__ = [
     "IntervalB",
@@ -153,7 +153,8 @@ def estimate_equilibria_count(
 @dataclass(frozen=True)
 class DimensionLiftReport:
     """Both sides of the dimension-lift identity with their discrepancy, and
-    the number of trials contributing a nonzero value to each side."""
+    the number of trials contributing a nonzero value to each side.
+    ``quadrature_panels`` is 1: each trial's t-integral is one exact piece."""
 
     lhs: MCEstimate
     rhs: MCEstimate
@@ -163,12 +164,59 @@ class DimensionLiftReport:
     rhs_support: int
 
 
+def _gaussian_moments(a: np.ndarray, b: np.ndarray, c: float, top: int) -> list[np.ndarray]:
+    """[M_0, ..., M_top] with M_j = int_a^b t^j exp(-c t^2) dt, elementwise.
+
+    M_0 comes from erf, as a difference of erfc in whichever tail holds both
+    ends so that it does not cancel; M_1 and up follow from integrating
+    d/dt (t^j exp(-c t^2)) by parts: 2c M_(j+1) = j M_(j-1) - [t^j exp(-c t^2)]_a^b.
+    """
+    lo, hi = math.sqrt(c) * a, math.sqrt(c) * b
+    erf_diff = np.where(lo >= 0.0, special.erfc(lo) - special.erfc(hi),
+                        np.where(hi <= 0.0, special.erfc(-hi) - special.erfc(-lo),
+                                 special.erf(hi) - special.erf(lo)))
+    moments = [0.5 * math.sqrt(math.pi / c) * erf_diff]
+    wa, wb = np.exp(-c * a * a), np.exp(-c * b * b)  # t^j exp(-c t^2) at both ends
+    for j in range(top):
+        below = j * moments[j - 1] if j else 0.0
+        moments.append((below - (wb - wa)) / (2.0 * c))
+        wa, wb = wa * a, wb * b
+    return moments
+
+
+def _lift_integrals(values: np.ndarray, is_real: np.ndarray, m: int, c: float,
+                    t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial int_{t_lo}^{t_hi} |det(X - tI)| 1{exactly m real parts >= t}
+    exp(-c t^2) dt for ordered spectra ``values`` of X, and the mask of trials
+    whose t-interval meets the window.
+
+    Exactly m real parts are >= t on the single interval (Re l_(m+1), Re l_m]
+    (Re l_(m+1) = -inf when m is the matrix size). There |det(X - tI)| is the
+    real polynomial s * prod(l_i - t), of degree the matrix size, whose sign
+    s is -1 to the number of real eigenvalues of rank m+1 and below (a
+    conjugate pair gives a positive factor). So the integral is sum_j p_j M_j exactly.
+    """
+    batch, size = values.shape
+    a = np.maximum(values[:, m].real if m < size else -math.inf, t_lo)
+    # An empty interval becomes a == b, whose moments are exactly 0.
+    b = np.maximum(np.minimum(values[:, m - 1].real, t_hi), a)
+    # Coefficients of prod(l_i - t) in ascending powers of t.
+    coef = np.zeros((batch, size + 1), dtype=complex)
+    coef[:, 0] = 1.0
+    for i in range(size):
+        coef_next = values[:, i : i + 1] * coef
+        coef_next[:, 1:] -= coef[:, :-1]
+        coef = coef_next
+    sign = np.where(is_real[:, m:].sum(axis=1) % 2, -1.0, 1.0)
+    moments = _gaussian_moments(a, b, c, size)
+    return sign * sum(coef[:, j].real * moments[j] for j in range(size + 1)), a < b
+
+
 def verify_dimension_lift(
     n: int,
     m: int,
     tau: float,
     window: IntervalB,
-    quad: QuadratureSpec | None = None,
     n_trials: int = 100_000,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
@@ -180,13 +228,12 @@ def verify_dimension_lift(
       = Gamma(n/2) sqrt(2)^n sqrt(1+tau) / sqrt(n-1)^n
             * E_n[ 1{rank-(m+1) eigenvalue real} f(sqrt(n) * that eigenvalue) ]
 
-    for f the indicator of ``window``, independently: the left side by outer
-    Gauss-Legendre panels over t with an inner Monte Carlo reusing one set of
-    (n-1) x (n-1) spectra across nodes (so the quadrature refinement is
-    noise-free), the right side by plain Monte Carlo over n x n matrices.
-    Panels double until the quadrature change drops below the Monte Carlo
-    standard error. Returns both estimates, their z-score and the number of
-    contributing trials on each side.
+    for f the indicator of ``window``. Both sides are plain Monte Carlo on
+    independent streams, reduced batch by batch: the left side over
+    (n-1) x (n-1) matrices, with each trial's t-integral in closed form (see
+    ``_lift_integrals``), the right side over n x n matrices. Returns both
+    estimates, their z-score and the number of contributing trials on each
+    side.
     """
     if n < 2:
         raise DomainError(f"requires n >= 2, got n={n}")
@@ -196,47 +243,20 @@ def verify_dimension_lift(
         raise DomainError(f"requires -1 < tau < 1, got tau={tau}")
     if not (math.isfinite(window.lo) and math.isfinite(window.hi)):
         raise DomainError("dimension-lift check needs a bounded window")
-    quad = quad or QuadratureSpec()
     seed_lhs = derive_seed(seed, 0)
     seed_rhs = derive_seed(seed, 1)
     root = math.sqrt(n - 1.0)
     t_lo, t_hi = window.lo / root, window.hi / root
+    c = (n - 1) / (2.0 * (1.0 + tau))
 
-    # Left side: cache all (n-1)-spectra once, integrate over t on top of them.
-    spectra = np.empty((n_trials, n - 1), dtype=complex)
-    done = 0
-    for values, _ in _eig_batches(n - 1, tau, n_trials, seed_lhs, batch_size):
-        spectra[done : done + values.shape[0]] = values
-        done += values.shape[0]
-
-    def per_trial_integral(panels: int) -> np.ndarray:
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        y = np.zeros(n_trials)
-        edges = np.linspace(t_lo, t_hi, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            ts = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            ws = 0.5 * (b - a) * weights
-            for t, w in zip(ts, ws):
-                absdet = np.abs(spectra - t).prod(axis=1)
-                hits = (spectra.real >= t).sum(axis=1) == m
-                y += w * math.exp(-(n - 1) * t * t / (2.0 * (1.0 + tau))) * absdet * hits
-        return y
-
-    panels = 1
-    y = per_trial_integral(panels)
-    while True:
-        y_next = per_trial_integral(2 * panels)
-        stderr = float(np.std(y_next, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-        change = abs(float(np.mean(y_next)) - float(np.mean(y)))
-        y = y_next
-        panels *= 2
-        if change <= max(stderr, quad.abs_tol) or panels >= quad.max_subdivisions:
-            break
     lhs_moments = RunningMoments()
-    lhs_moments.add(y)
+    lhs_support = 0
+    for values, is_real in _eig_batches(n - 1, tau, n_trials, seed_lhs, batch_size):
+        y, live = _lift_integrals(values, is_real, m, c, t_lo, t_hi)
+        lhs_moments.add(y)
+        lhs_support += int(live.sum())
     lhs = lhs_moments.estimate(seed_lhs)
 
-    # Right side.
     log_const = (
         float(special.gammaln(n / 2.0))
         + 0.5 * n * math.log(2.0)
@@ -254,8 +274,8 @@ def verify_dimension_lift(
     rhs = rhs_moments.estimate(seed_rhs)
 
     return DimensionLiftReport(
-        lhs=lhs, rhs=rhs, z_score=z_score(lhs, rhs), quadrature_panels=panels,
-        lhs_support=int(np.count_nonzero(y)), rhs_support=rhs_support,
+        lhs=lhs, rhs=rhs, z_score=z_score(lhs, rhs), quadrature_panels=1,
+        lhs_support=lhs_support, rhs_support=rhs_support,
     )
 
 

@@ -6,17 +6,19 @@ This module evaluates, in double precision:
 * the large-deviation rate function I(x; tau) of the rightmost real
   eigenvalues of the elliptic ensemble,
 * the logarithmic potential phi(x, y; tau) of the uniform law on the ellipse
-  with semi-axes (1+tau, 1-tau), by direct 2-D quadrature over the ellipse,
+  with semi-axes (1+tau, 1-tau), by radial quadrature of its angular mean,
+  which Jensen's formula gives in closed form,
 * the tilted potential psi = phi - x^2/(2(1+tau)) - y^2/(2(1-tau)),
 * the log normalization constant of the ordered-eigenvalue density.
 
-The quadrature route for phi is deliberately kept independent of the closed
-forms (no reuse of the rate function, no circle-average shortcuts) so the two
-can cross-check each other. All functions are pure.
+The quadrature route for phi is deliberately kept independent of the rate
+function (it uses only Jensen's formula on each ellipse of the foliation) so
+the two can cross-check each other. All functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -29,8 +31,8 @@ from .errors import DomainError, QuadratureToleranceError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and per-rule panel budget of the adaptive 2-D ellipse
-    integrals; running out of panels raises QuadratureToleranceError."""
+    """Tolerances and panel budget of the adaptive radial rule of the ellipse
+    potential; running out of panels raises QuadratureToleranceError."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -93,18 +95,12 @@ def rate_function(x: float, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive composite Gauss-Legendre quadrature (1-D core, nested for 2-D)
+# Adaptive composite Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = rule
-    return rule
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_values(f, lo: float, hi: float, order: int) -> tuple[float, float]:
@@ -168,71 +164,19 @@ def adaptive_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def _potential_polar(x: float, y: float, tau: float, spec: QuadratureSpec) -> float:
-    """phi via nested quadrature over the unit disk pulled back from the ellipse.
+def _angular_mean(z: complex, r: np.ndarray, tau: float) -> np.ndarray:
+    """(1/2pi) int_0^{2pi} log|z - w(r, t)| dt for w(r, t) = r e^(it) + r tau e^(-it).
 
-    The substitution w = ((1+tau) r cos t, (1-tau) r sin t) maps the ellipse
-    onto the unit disk with area element proportional to r dr dt, so
-
-        phi = (1/pi) int_0^1 int_0^{2 pi} log|z - w(r, t)| r dt dr.
-
-    The log singularity (when z lies inside or on the ellipse) sits at a
-    single (r, t); panel boundaries are placed there so the integrable spike
-    is resolved by adaptive splitting rather than straddled.
+    On |u| = 1, u = e^(it), |z - w| = r |u - zeta_1| |u - zeta_2| with
+    zeta_1 + zeta_2 = z/r and zeta_1 zeta_2 = tau, so Jensen's formula gives
+    the mean log r + log+|zeta_1| + log+|zeta_2|. The smaller root has
+    |zeta_2|^2 <= |tau| < 1 and drops out; the larger is
+    r zeta_1 = (z + q)/2 with q = sqrt(z^2 - 4 tau r^2) of the sign that
+    matches z. So the mean is log max(r, |z + q|/2), which has no 0/0 at z = 0.
     """
-    ax = 1.0 + tau
-    ay = 1.0 - tau
-    # Position of z in disk coordinates: the singular source, if any.
-    u, v = x / ax, y / ay
-    r_z = math.hypot(u, v)
-    t_z = math.atan2(v, u)
-    inner_abs = 2.0 * spec.abs_tol
-    inner_rel = 2.0 * spec.rel_tol
-
-    inner_failures: list[tuple[float, float]] = []
-
-    def theta_integral(r: float) -> float:
-        # Integrate over [t_z, t_z + 2 pi]: the near-singular dip then sits at
-        # the panel endpoints, where adaptive splitting grades naturally.
-        def g(t: np.ndarray) -> np.ndarray:
-            dx = x - ax * r * np.cos(t)
-            dy = y - ay * r * np.sin(t)
-            return 0.5 * np.log(dx * dx + dy * dy)
-
-        value, err, ok = adaptive_quadrature(
-            g,
-            t_z,
-            t_z + 2.0 * math.pi,
-            abs_tol=inner_abs,
-            rel_tol=inner_rel,
-            max_panels=spec.max_subdivisions,
-            breakpoints=(t_z + math.pi,),
-        )
-        if not ok:
-            inner_failures.append((value, err))
-        return value
-
-    def outer(rs: np.ndarray) -> np.ndarray:
-        return np.array([r * theta_integral(r) / math.pi for r in rs])
-
-    breaks = (r_z,) if 0.0 < r_z < 1.0 else ()
-    value, err, ok = adaptive_quadrature(
-        outer,
-        0.0,
-        1.0,
-        abs_tol=0.5 * spec.abs_tol,
-        rel_tol=0.5 * spec.rel_tol,
-        max_panels=spec.max_subdivisions,
-        breakpoints=breaks,
-    )
-    if not ok or inner_failures:
-        worst_inner = max((e for _, e in inner_failures), default=0.0)
-        raise QuadratureToleranceError(
-            "ellipse potential quadrature did not reach tolerance",
-            estimate=value,
-            error_bound=err + worst_inner,
-        )
-    return value
+    q = np.sqrt(z * z - 4.0 * tau * r * r)
+    q = np.where((z.conjugate() * q).real < 0.0, -q, q)
+    return np.log(np.maximum(r, 0.5 * np.abs(z + q)))
 
 
 def log_potential(
@@ -243,14 +187,40 @@ def log_potential(
 ) -> float:
     """int over the ellipse of log|x + iy - w| under the uniform law.
 
-    Deterministic nested adaptive Gauss-Legendre quadrature that honors the
-    tolerances of ``spec`` and raises QuadratureToleranceError when its panel
-    budget runs out.
+    The substitution w(r, t) = ((1+tau) r cos t, (1-tau) r sin t) maps the
+    unit disk onto the ellipse with area element proportional to r dr dt, so
+
+        phi = (1/pi) int_0^1 int_0^{2 pi} log|z - w(r, t)| r dt dr
+            = 2 int_0^1 r _angular_mean(z, r, tau) dr.
+
+    The angular mean is exact; the radial integrand is continuous, with one
+    kink at the r_z whose r-ellipse passes through z, placed as a panel
+    boundary. The rate function is not used, so phi still cross-checks it.
+    The deterministic adaptive Gauss-Legendre rule honors the tolerances of
+    ``spec`` and raises QuadratureToleranceError when its panel budget runs
+    out.
     """
     tau = float(tau)
     if not -1.0 < tau < 1.0:
         raise DomainError(f"log_potential requires -1 < tau < 1, got tau={tau}")
-    return _potential_polar(float(x), float(y), tau, spec)
+    z = complex(x, y)
+    r_z = math.hypot(z.real / (1.0 + tau), z.imag / (1.0 - tau))
+    value, err, ok = adaptive_quadrature(
+        lambda r: 2.0 * r * _angular_mean(z, r, tau),
+        0.0,
+        1.0,
+        abs_tol=spec.abs_tol,
+        rel_tol=spec.rel_tol,
+        max_panels=spec.max_subdivisions,
+        breakpoints=(r_z,),
+    )
+    if not ok:
+        raise QuadratureToleranceError(
+            "ellipse potential quadrature did not reach tolerance",
+            estimate=value,
+            error_bound=err,
+        )
+    return value
 
 
 def tilted_potential(

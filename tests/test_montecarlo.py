@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from equicount.errors import DomainError
+from equicount.gee import eigvals_batch, sample_gee_entries
 from equicount.montecarlo import (
     FULL_LINE,
     IntervalB,
+    _lift_integrals,
     concentration_miss_fractions,
     empirical_spectral_test,
     empirical_tail_rate,
@@ -136,6 +139,44 @@ class TestVerifyDimensionLift:
     def test_m_bounds(self):
         with pytest.raises(DomainError):
             verify_dimension_lift(3, 3, 0.0, IntervalB(1.0, 1.4), n_trials=100, seed=SEED)
+
+
+class TestLiftIntegrals:
+    """Each left-side trial's closed-form t-integral against adaptive
+    quadrature of the literal integrand."""
+
+    @staticmethod
+    def reference(values, m, c, t_lo, t_hi):
+        re = values.real
+
+        def integrand(t):
+            hit = np.count_nonzero(re >= t) == m
+            return abs(np.prod(values - t)) * hit * math.exp(-c * t * t)
+
+        # The integrand jumps or vanishes at the real parts: breakpoints there.
+        inside = [x for x in re if t_lo < x < t_hi]
+        value, _ = integrate.quad(integrand, t_lo, t_hi, points=inside or None,
+                                  epsabs=0.0, epsrel=1e-13, limit=200)
+        return value
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (3, 2), (4, 2), (6, 3)])
+    def test_matches_quadrature(self, n, m):
+        size, tau = n - 1, 0.3
+        c = size / (2.0 * (1.0 + tau))
+        values, is_real = eigvals_batch(sample_gee_entries(size, tau, substream(SEED, n), 2000))
+        upper = values[:, m - 1].real
+        lower = values[:, m].real if m < size else np.full(upper.size, -np.inf)
+        cut = float(np.median(upper if m == size else 0.5 * (upper + lower)))
+        # Whole intervals, intervals clipped at their lower end, and at their
+        # upper end (for m = n - 1 every interval is clipped below).
+        for t_lo, t_hi, clipped in ((-3.0, 3.0, None), (cut, 3.0, lower < cut),
+                                    (-3.0, cut, upper > cut)):
+            y, live = _lift_integrals(values, is_real, m, c, t_lo, t_hi)
+            picked = np.flatnonzero(live if clipped is None else live & clipped)[:60]
+            assert picked.size >= 50
+            for i in picked:
+                expected = self.reference(values[i], m, c, t_lo, t_hi)
+                assert y[i] == pytest.approx(expected, rel=1e-10)
 
 
 class TestEmpiricalTailRate:

@@ -7,6 +7,7 @@ Frozen oracle values and their provenance:
   I(2; 0)      = 0.8068528194400547    hand evaluation: 2 - 1/2 - log 2
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy import integrate
 from equicount.errors import DomainError, QuadratureToleranceError
 from equicount.special_functions import (
     QuadratureSpec,
+    _angular_mean,
     adaptive_quadrature,
     erfc,
     log_erfc,
@@ -153,11 +155,19 @@ class TestLogPotential:
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_tolerance_error_carries_estimate(self):
+        # At the centre the radial integrand is 2 r log r, whose endpoint
+        # singularity four panels cannot resolve to 1e-15.
         tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
         with pytest.raises(QuadratureToleranceError) as err:
-            log_potential(1.0, 0.0, 0.0, tight)
+            log_potential(0.0, 0.0, 0.3, tight)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
+
+    def test_centre_value(self):
+        # phi(0) = 2 int_0^1 r log r dr for every tau; at tau = 0 both roots
+        # of the angular factorization vanish, the 0/0 a naive root pair hits.
+        for tau in (0.0, 0.3, -0.5):
+            assert log_potential(0.0, 0.0, tau, QUAD) == pytest.approx(-0.5, abs=1e-9)
 
     def test_cauchy_transform_finite_difference(self):
         # d/dx phi - i d/dy phi at real x > 1+tau equals (x - sqrt(x^2-4 tau))/(2 tau).
@@ -171,6 +181,29 @@ class TestLogPotential:
             expected = (x - math.sqrt(x * x - 4.0 * tau)) / (2.0 * tau)
             assert ddx == pytest.approx(expected, abs=5e-6)
             assert ddy == pytest.approx(0.0, abs=5e-6)
+
+
+class TestAngularMean:
+    """Jensen's closed-form angular mean against adaptive quadrature over t."""
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3, 0.9])
+    def test_matches_quadrature(self, tau):
+        for x, y in ((0.3, 0.05), (1.2, 0.4), (-0.7, -0.02), (2.5, 0.0), (0.0, -0.6)):
+            z = complex(x, y)
+            u, v = x / (1.0 + tau), y / (1.0 - tau)
+            r_z, t_z = math.hypot(u, v), math.atan2(v, u)
+            # z outside, just outside, just inside and inside the r-ellipse.
+            for r in (0.5 * r_z, r_z - 1e-6, r_z + 1e-6, 1.5 * r_z):
+                def log_gap(t):
+                    return math.log(abs(z - r * cmath.exp(1j * t) - r * tau * cmath.exp(-1j * t)))
+
+                # The near-singular dip, about 1e-6 wide, sits at t_z; graded
+                # breakpoints around it let the rule resolve it.
+                dip = [t_z + d for d in (-1e-3, -1e-5, 0.0, 1e-5, 1e-3)]
+                value, _ = integrate.quad(log_gap, t_z - math.pi, t_z + math.pi, points=dip,
+                                          epsabs=1e-13, epsrel=1e-13, limit=500)
+                mean = _angular_mean(z, np.array([r]), tau)[0]
+                assert mean == pytest.approx(value / (2.0 * math.pi), abs=1e-12)
 
 
 class TestTiltedPotential:
