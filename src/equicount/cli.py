@@ -32,10 +32,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConstraintError, DomainError, EquicountError
-from .gee import eigvals_batch, sample_gee_entries
 from .montecarlo import (
     MIN_HITS,
     IntervalB,
+    _eig_batches,
+    eig_workers,
     empirical_spectral_test,
     empirical_tail_rate,
     estimate_equilibria_count,
@@ -50,7 +51,7 @@ from .rates import (
     rate_lagrange_window,
     threshold_tau,
 )
-from .sampling import MCEstimate, batch_sizes, derive_seed, substream, z_score
+from .sampling import MCEstimate, derive_seed, z_score
 from .sphere_field import field_model_params, oracle_mean_counts
 
 #: Stable per-command stream indices (part of the seeding contract).
@@ -68,6 +69,9 @@ _COMMAND_STREAMS = {
 }
 
 Z_GATE = 3.0
+
+#: Thread-count variables of BLAS and OpenMP, recorded in the sidecar log.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _json_cell(value):
@@ -125,6 +129,9 @@ def _write_output(out_path: str | None, payload: str) -> None:
         fh.write(payload)
     with open(out_path + ".log", "w") as log:
         log.write(f"written at {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
+        log.write(f"eigensolve workers at n >= 4: {eig_workers(4)}\n")
+        for var in _THREAD_VARS:
+            log.write(f"{var}={os.environ.get(var, '(unset)')}\n")
 
 
 def _csv_payload(config: dict, header: list[str], rows: list[list[str]]) -> str:
@@ -226,16 +233,16 @@ def _cmd_sample_gee(args) -> int:
         "trials": args.trials, "seed": args.seed,
     }
     rows = []
-    for batch_index, take in batch_sizes(args.trials, 1024):
-        mats = sample_gee_entries(args.n, args.tau, substream(seed, batch_index), take)
-        values, is_real = eigvals_batch(mats)
-        for t in range(take):
+    trial = 0
+    for values, is_real in _eig_batches(args.n, args.tau, args.trials, seed, 1024):
+        for t in range(values.shape[0]):
             for j in range(args.n):
                 rows.append([
-                    1024 * batch_index + t, j + 1,
+                    trial, j + 1,
                     float(values[t, j].real), float(values[t, j].imag),
                     int(is_real[t, j]),
                 ])
+            trial += 1
     _emit_table(args, "sample-gee", config, ["trial_index", "j", "re", "im", "is_real"], rows)
     return 0
 
@@ -495,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--dphi1", type=float, required=True)
     sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--c", default="-inf", help="window start; write --c=-inf for minus infinity")
+    sp.add_argument("--c", default="-inf", help="window start; -inf for minus infinity")
     sp.add_argument("--d", default="inf")
     sp.add_argument("--with-cutoff", action="store_true")
     sp.add_argument("--out", default=None)
@@ -505,9 +512,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join each negative number to the --option in front of it ("--tau=-1e-05").
+
+    argparse takes "-1e-05" or "-inf" standing alone for an option; the
+    commands have no positional arguments, so such a token can only be the
+    value of the option before it.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConstraintError, DomainError) as exc:

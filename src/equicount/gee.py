@@ -36,13 +36,35 @@ def _mixing_coefficients(tau: float) -> tuple[float, float]:
     return a, b
 
 
+#: Entries mixed per step of :func:`sample_gee_entries`; bounds its temporaries
+#: while keeping small-n batches to one step.
+_MIX_ENTRIES = 1 << 16
+
+
 def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n, n) stack of ensemble members; the batch workhorse."""
+    """(size, n, n) stack of ensemble members; the batch workhorse.
+
+    The values are those of a * G + b * G^T, computed by the same floating
+    point operations, with at most two full-size stacks alive: G is scaled in
+    place and returned as it is when a == 1 and b == 0 (tau = 0, or tau too
+    small to move a and b); otherwise the mix is written into one output
+    stack, about _MIX_ENTRIES entries at a time. Concurrent batches (see
+    ``montecarlo._eig_batches``) each hold their own pair of stacks.
+    """
     if not -1.0 < tau <= 1.0:
         raise DomainError(f"sample_gee_entries requires -1 < tau <= 1, got tau={tau}")
     a, b = _mixing_coefficients(tau)
-    g = rng.standard_normal((size, n, n)) / math.sqrt(n)
-    return a * g + b * np.swapaxes(g, 1, 2)
+    g = rng.standard_normal((size, n, n))
+    g /= math.sqrt(n)
+    if a == 1.0 and b == 0.0:
+        return g
+    out = np.empty_like(g)
+    step = max(1, _MIX_ENTRIES // (n * n))
+    for start in range(0, size, step):
+        block = g[start : start + step]
+        mixed = np.multiply(block, a, out=out[start : start + step])
+        mixed += b * np.swapaxes(block, 1, 2)
+    return out
 
 
 def _order_key(values: np.ndarray) -> np.ndarray:

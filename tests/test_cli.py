@@ -121,14 +121,19 @@ class TestEstimateCommand:
         assert record["n_trials"] == 20000
         assert record["mean"] > 0.0 and record["stderr"] > 0.0
 
-    def test_sidecar_log_written(self, tmp_path):
+    def test_sidecar_log_written(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "e.json"
         main([
             "estimate", "--n", "2", "--m", "0", "--phi1", "1", "--dphi1", "2",
             "--phi2", "0", "--sigma2", "0.25", "--trials", "1000", "--seed", "9",
             "--out", str(out),
         ])
-        assert os.path.exists(str(out) + ".log")
+        log = (tmp_path / "e.json.log").read_text().splitlines()
+        assert f"eigensolve workers at n >= 4: {montecarlo.eig_workers(4)}" in log
+        assert "OMP_NUM_THREADS=1" in log and "MKL_NUM_THREADS=(unset)" in log
+        assert any(line.startswith("OPENBLAS_NUM_THREADS=") for line in log)
 
     def test_bad_model_params_exit_2(self):
         code = main([
@@ -148,6 +153,15 @@ class TestSampleGeeCommand:
         lines = text.strip().splitlines()
         assert lines[1] == "trial_index,j,re,im,is_real"
         assert len(lines) == 2 + 4 * 3
+
+    def test_trial_index_runs_across_batches(self, tmp_path):
+        code, text = run_to_file(
+            tmp_path, "s.csv",
+            ["sample-gee", "--n", "4", "--tau", "0.2", "--trials", "2100", "--seed", "3"],
+        )
+        assert code == 0
+        trials = [int(line.split(",")[0]) for line in text.strip().splitlines()[2:]]
+        assert trials == [t for t in range(2100) for _ in range(4)]
 
 
 class TestVerifyCommand:
@@ -233,12 +247,48 @@ class TestLdpTailCommand:
         assert rows[0].split(",")[0] == "6"
 
 
+@pytest.mark.parametrize("detached, attached", [
+    (["lagrange-rates", "--b", "0.2", "--tau", "-1e-05", "--dphi1", "2", "--m", "1",
+      "--c", "-inf", "--d", "1.0"],
+     ["lagrange-rates", "--b", "0.2", "--tau=-1e-05", "--dphi1", "2", "--m", "1",
+      "--c=-inf", "--d", "1.0"]),
+    (["sample-gee", "--n", "5", "--tau", "-1e-05", "--trials", "30", "--seed", "-2"],
+     ["sample-gee", "--n", "5", "--tau=-1e-05", "--trials", "30", "--seed=-2"]),
+    (["rates", "--b", "0.5", "--tau", "-2E-1", "--format", "json"],
+     ["rates", "--b", "0.5", "--tau=-2E-1", "--format", "json"]),
+], ids=["lagrange-rates", "sample-gee", "rates"])
+def test_detached_negative_value_reads_like_attached(tmp_path, detached, attached):
+    code1, text1 = run_to_file(tmp_path, "detached", detached)
+    code2, text2 = run_to_file(tmp_path, "attached", attached)
+    assert code1 == code2 == 0
+    assert text1 == text2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control")
+@pytest.mark.parametrize("argv", [
+    ["sample-gee", "--n", "6", "--tau", "0.3", "--trials", "2100"],
+    ["ldp-tail", "--n-list", "5,8", "--x", "1.2", "--tau", "0", "--trials", "9000"],
+], ids=["sample-gee", "ldp-tail"])
+def test_data_bytes_do_not_depend_on_cpu_count(tmp_path, argv):
+    mask = os.sched_getaffinity(0)
+    code_pool, pooled = run_to_file(tmp_path, "pool", argv + ["--seed", "8"])
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        code_one, single = run_to_file(tmp_path, "one", argv + ["--seed", "8"])
+        one_log = (tmp_path / "one.log").read_text()
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert code_pool == code_one == 0
+    assert pooled == single
+    assert f"eigensolve workers at n >= 4: {len(mask)}\n" in (tmp_path / "pool.log").read_text()
+    assert "eigensolve workers at n >= 4: 1\n" in one_log
+
+
 def _refuse_sampling(monkeypatch):
     """Make every ensemble draw fail, so a command that starts work is caught."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("matrices were sampled before the inputs were checked")
 
-    monkeypatch.setattr(cli, "sample_gee_entries", no_sampling)
     monkeypatch.setattr(montecarlo, "sample_gee_entries", no_sampling)
 
 
@@ -314,6 +364,6 @@ def test_fuzzed_sizes_end_in_documented_exit_codes(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv + ["--seed", "1"])
-        except SystemExit as exc:  # argparse's usage error, e.g. "--tau -1e-05"
+        except SystemExit as exc:  # argparse's usage error, e.g. "--trials 1.5"
             code = exc.code
     assert code in (0, 2, 3, 4)

@@ -14,6 +14,7 @@ from scipy import integrate, linalg
 
 from equicount.errors import DomainError, EigensolverError
 from equicount.gee import (
+    _mixing_coefficients,
     _order_key,
     eigvals_batch,
     log_eigenvalue_density,
@@ -92,6 +93,17 @@ class TestSampleGee:
         ):
             se = values.std(ddof=1) / math.sqrt(trials)
             assert abs(values.mean() - target) < 3.0 * se
+
+
+@pytest.mark.parametrize("size", [1, 255, 257, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("tau", [-0.5, 0.0, 1e-20, 0.3, 0.999, 1.0])
+def test_sampler_matches_mixing_formula_bitwise(tau, n, size):
+    a, b = _mixing_coefficients(tau)
+    g = substream(SEED, size).standard_normal((size, n, n)) / math.sqrt(n)
+    want = a * g + b * np.swapaxes(g, 1, 2)
+    got = sample_gee_entries(n, tau, substream(SEED, size), size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSpectrum:

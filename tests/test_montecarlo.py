@@ -1,16 +1,20 @@
 """Estimators: determinism, window algebra, identity checks, tail rates."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from equicount.errors import DomainError
+from equicount import montecarlo
+from equicount.errors import DomainError, EigensolverError
 from equicount.gee import eigvals_batch, sample_gee_entries
 from equicount.montecarlo import (
     FULL_LINE,
     IntervalB,
+    _eig_batches,
     _lift_integrals,
     concentration_miss_fractions,
     empirical_spectral_test,
@@ -51,6 +55,61 @@ class TestSampling:
         a = MCEstimate(1.0, 0.0, 10, 0)
         assert z_score(a, a) == 0.0
         assert z_score(a, MCEstimate(2.0, 0.0, 10, 0)) == math.inf
+
+
+def inline_eig_batches(n, tau, n_trials, seed, batch_size):
+    """The reference loop the batch driver must reproduce bit for bit."""
+    return [eigvals_batch(sample_gee_entries(n, tau, substream(seed, index), take))
+            for index, take in batch_sizes(n_trials, batch_size)]
+
+
+class TestEigBatches:
+    """The batch driver: a thread pool at LAPACK sizes, forced here to three
+    workers so the pool runs, and oversubscribed, on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "eig_workers", lambda n: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_trials", [1, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_matches_inline_loop_bitwise(self, n, tau, n_trials):
+        got = list(_eig_batches(n, tau, n_trials, SEED, 4096))
+        want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
+        assert len(got) == len(want)
+        for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
+            assert np.array_equal(values.view(np.uint64), values_ref.view(np.uint64))
+            assert np.array_equal(is_real, is_real_ref)
+
+    def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
+        error = EigensolverError("injected failure")
+        original = montecarlo.eigvals_batch
+
+        def fail_on_ragged_batch(mats):
+            if mats.shape[0] == 5:
+                raise error
+            return original(mats)
+
+        monkeypatch.setattr(montecarlo, "eigvals_batch", fail_on_ragged_batch)
+        before = threading.active_count()
+        with pytest.raises(EigensolverError) as info:
+            for _ in _eig_batches(6, 0.3, 3 * 64 + 5, SEED, 64):
+                pass
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_early_break_joins_workers(self):
+        before = threading.active_count()
+        for _ in _eig_batches(10, 0.3, 8 * 512, SEED, 512):
+            break
+        assert threading.active_count() == before
 
 
 class TestIntervalB:
