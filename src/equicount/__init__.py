@@ -49,7 +49,6 @@ from .rates import (
 from .sampling import derive_seed, substream
 from .special_functions import (
     QuadratureSpec,
-    erfc,
     log_erfc,
     log_norm_constant,
     log_potential,
@@ -94,7 +93,6 @@ __all__ = [
     "derive_tau_b",
     "empirical_spectral_test",
     "empirical_tail_rate",
-    "erfc",
     "estimate_equilibria_count",
     "eval_field",
     "field_model_params",

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, EigensolverError
-from .sampling import DEFAULT_BATCH_SIZE, MCEstimate, batch_sizes, substream
+from .sampling import DEFAULT_BATCH_SIZE, MCEstimate
 from .special_functions import log_erfc, log_norm_constant
 
 
@@ -36,44 +36,111 @@ def _mixing_coefficients(tau: float) -> tuple[float, float]:
     return a, b
 
 
-#: Entries mixed per step of :func:`sample_gee_entries`; bounds its temporaries
-#: while keeping small-n batches to one step.
-_MIX_ENTRIES = 1 << 16
+#: Entries drawn and mixed per step of :func:`sample_gee_entries`; bounds its
+#: temporaries to a few small blocks.
+_MIX_ENTRIES = 1 << 13
 
 
 def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, n, n) stack of ensemble members; the batch workhorse.
 
     The values are those of a * G + b * G^T, computed by the same floating
-    point operations, with at most two full-size stacks alive: G is scaled in
-    place and returned as it is when a == 1 and b == 0 (tau = 0, or tau too
-    small to move a and b); otherwise the mix is written into one output
-    stack, about _MIX_ENTRIES entries at a time. Concurrent batches (see
-    ``montecarlo._eig_batches``) each hold their own pair of stacks.
+    point operations, with G the next size * n * n standard normals of
+    ``rng`` divided by sqrt(n). Only the output stack is full size: when
+    a == 1 and b == 0 (tau = 0, or tau too small to move a and b) G is drawn
+    into it and scaled in place; otherwise G is drawn and mixed into it about
+    _MIX_ENTRIES entries at a time (consecutive draws continue one stream).
     """
     if not -1.0 < tau <= 1.0:
         raise DomainError(f"sample_gee_entries requires -1 < tau <= 1, got tau={tau}")
     a, b = _mixing_coefficients(tau)
-    g = rng.standard_normal((size, n, n))
-    g /= math.sqrt(n)
+    out = np.empty((size, n, n))
     if a == 1.0 and b == 0.0:
-        return g
-    out = np.empty_like(g)
+        rng.standard_normal(out=out)
+        out /= math.sqrt(n)
+        return out
     step = max(1, _MIX_ENTRIES // (n * n))
     for start in range(0, size, step):
-        block = g[start : start + step]
-        mixed = np.multiply(block, a, out=out[start : start + step])
-        mixed += b * np.swapaxes(block, 1, 2)
+        mixed = out[start : start + step]
+        g = rng.standard_normal(mixed.shape)
+        g /= math.sqrt(n)
+        np.multiply(g, a, out=mixed)
+        mixed += b * np.swapaxes(g, 1, 2)
     return out
 
 
 def _order_key(values: np.ndarray) -> np.ndarray:
     # Complex sort is lexicographic (real, then imaginary); negating both parts
     # yields decreasing real part with +im before -im inside a conjugate pair.
-    return -values.real - 1j * values.imag
+    return -values
 
 
 _TRIG_PHASES = np.array([0.0, 2.0, 4.0]) * (math.pi / 3.0)
+
+
+def _depressed_cubic(mats: np.ndarray,
+                     scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tr(A) / scale and the coefficients p, q of the depressed characteristic
+    polynomial s^3 + p s + q of C = 3A/scale - (tr(A)/scale) I (see
+    ``_cubic_spectra``); the nine entries of C are batch vectors that die here."""
+    tr = (mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]) / scale
+    three = 3.0 / scale
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        [mats[:, i, j] * three for j in range(3)] for i in range(3))
+    c00 -= tr
+    c11 -= tr
+    c22 -= tr
+    minor0 = c11 * c22 - c12 * c21
+    p = minor0 + (c00 * c22 - c02 * c20) + (c00 * c11 - c01 * c10)
+    q = c01 * (c10 * c22 - c12 * c20) - c00 * minor0 - c02 * (c10 * c21 - c11 * c20)
+    return tr, p, q
+
+
+def _real_roots(s: np.ndarray, p: np.ndarray, q: np.ndarray, three_real: np.ndarray,
+                one_real: np.ndarray) -> np.ndarray:
+    """Write the real roots of s^3 + p s + q into the zeroed (batch, 3) array
+    s, and return each one's distance to the nearest other root (0 where s
+    holds no root, which blocks the Newton step there).
+
+    Where ``three_real`` the descending roots come from the trigonometric
+    form; elsewhere column 0 gets the real root from Cardano's form, whose
+    distance to the conjugate pair is sqrt(3 root^2 + p).
+    """
+    gap = np.zeros(s.shape)
+    pr, qr = p[three_real], q[three_real]
+    # p <= 0 whenever the discriminant is >= 0, up to underflow.
+    rad = np.sqrt(np.maximum(-pr, 0.0) / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos3 = np.clip(-qr / (2.0 * rad * rad * rad), -1.0, 1.0)
+    theta = np.arccos(np.where(rad > 0.0, cos3, 1.0)) / 3.0
+    roots = 2.0 * rad[:, None] * np.cos(theta[:, None] - _TRIG_PHASES)  # descending
+    s[three_real] = roots
+    gap_hi = roots[:, 0] - roots[:, 1]
+    gap_lo = roots[:, 1] - roots[:, 2]
+    gap[three_real] = np.stack([gap_hi, np.minimum(gap_hi, gap_lo), gap_lo], axis=1)
+
+    pc, qc = p[one_real], q[one_real]
+    u = -np.cbrt(0.5 * qc + np.copysign(np.sqrt(0.25 * qc * qc + pc * pc * pc / 27.0), qc))
+    root = u - pc / (3.0 * u)
+    s[one_real, 0] = root
+    gap[one_real, 0] = np.sqrt(3.0 * root * root + pc)
+    return gap
+
+
+def _newton_polish(s: np.ndarray, gap: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    """One Newton step on s^3 + p s + q for each root in the (batch, 3) array
+    s, in place, taken only where shorter than half of ``gap`` (overwritten)."""
+    step = s * s
+    step += p[:, None]
+    step *= s
+    step += q[:, None]
+    slope = 3.0 * s
+    slope *= s
+    slope += p[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step /= slope
+    gap *= 0.5
+    np.subtract(s, step, out=s, where=np.less(np.abs(step, out=slope), gap))
 
 
 def _cubic_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,60 +158,32 @@ def _cubic_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each matrix is first scaled by a power of two that brings its largest
     entry into [1, 2), so p^3 and q^2 neither overflow nor underflow; the
-    scaling is exact and is undone at the end.
+    scaling is exact and is undone at the end. The work runs on batch
+    vectors and in place, so no temporary the size of the stack is made.
     """
     batch = mats.shape[0]
-    scale = np.ldexp(1.0, np.frexp(np.abs(mats).max(axis=(1, 2)))[1] - 1)
-    tr = (mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]) / scale
-    c = mats * (3.0 / scale)[:, None, None]
-    c00 = c[:, 0, 0] - tr
-    c11 = c[:, 1, 1] - tr
-    c22 = c[:, 2, 2] - tr
-    c01, c02, c10 = c[:, 0, 1], c[:, 0, 2], c[:, 1, 0]
-    c12, c20, c21 = c[:, 1, 2], c[:, 2, 0], c[:, 2, 1]
-    minor0 = c11 * c22 - c12 * c21
-    p = minor0 + (c00 * c22 - c02 * c20) + (c00 * c11 - c01 * c10)
-    q = c01 * (c10 * c22 - c12 * c20) - c00 * minor0 - c02 * (c10 * c21 - c11 * c20)
+    peak = np.abs(mats[:, 0, 0])
+    for entry in mats.reshape(batch, 9).T[1:]:
+        np.maximum(peak, np.abs(entry), out=peak)
+    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
+    tr, p, q = _depressed_cubic(mats, scale)
     three_real = -4.0 * p * p * p - 27.0 * q * q >= 0.0
     one_real = ~three_real
 
-    s = np.zeros((batch, 3))
-    gap = np.zeros((batch, 3))  # a zero gap blocks the Newton step
-    pr, qr = p[three_real], q[three_real]
-    # p <= 0 whenever the discriminant is >= 0, up to underflow.
-    rad = np.sqrt(np.maximum(-pr, 0.0) / 3.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos3 = np.clip(-qr / (2.0 * rad * rad * rad), -1.0, 1.0)
-    theta = np.arccos(np.where(rad > 0.0, cos3, 1.0)) / 3.0
-    roots = 2.0 * rad[:, None] * np.cos(theta[:, None] - _TRIG_PHASES)  # descending
-    s[three_real] = roots
-    gap_hi = roots[:, 0] - roots[:, 1]
-    gap_lo = roots[:, 1] - roots[:, 2]
-    gap[three_real] = np.stack([gap_hi, np.minimum(gap_hi, gap_lo), gap_lo], axis=1)
-
-    pc, qc = p[one_real], q[one_real]
-    u = -np.cbrt(0.5 * qc + np.copysign(np.sqrt(0.25 * qc * qc + pc * pc * pc / 27.0), qc))
-    root = u - pc / (3.0 * u)
-    s[one_real, 0] = root
-    # Distance from the real root to its conjugate pair.
-    gap[one_real, 0] = np.sqrt(3.0 * root * root + pc)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = ((s * s + p[:, None]) * s + q[:, None]) / (3.0 * s * s + p[:, None])
-    take = np.abs(step) < 0.5 * gap
-    s = np.where(take, s - step, s)
-
-    values = np.empty((batch, 3), dtype=complex)
-    values.real = (s + tr[:, None]) / 3.0
-    values.imag = 0.0
+    values = np.zeros((batch, 3), dtype=complex)
+    s = values.real  # the real roots s, worked on in place
+    _newton_polish(s, _real_roots(s, p, q, three_real, one_real), p, q)
     root = s[one_real, 0]
     pair_re = (tr[one_real] - 0.5 * root) / 3.0
-    pair_im = np.sqrt(np.maximum(3.0 * root * root + 4.0 * pc, 0.0)) / 6.0
+    pair_im = np.sqrt(np.maximum(3.0 * root * root + 4.0 * p[one_real], 0.0)) / 6.0
+    s += tr[:, None]
+    s /= 3.0
     values[one_real, 1] = pair_re + 1j * pair_im
     values[one_real, 2] = pair_re - 1j * pair_im
+    values *= scale[:, None]
     is_real = np.repeat(three_real[:, None], 3, axis=1)
     is_real[:, 0] = True
-    return values * scale[:, None], is_real
+    return values, is_real
 
 
 def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,12 +297,11 @@ def prob_k_real(
     """
     if n < 1:
         raise DomainError(f"prob_k_real requires n >= 1, got {n}")
+    from .montecarlo import _eig_batches  # montecarlo imports this module
+
     counts = np.zeros(n + 1, dtype=np.int64)
-    for index, take in batch_sizes(n_trials, batch_size):
-        mats = sample_gee_entries(n, tau, substream(seed, index), take)
-        _, is_real = eigvals_batch(mats)
-        k_real = is_real.sum(axis=1)
-        counts += np.bincount(k_real, minlength=n + 1)
+    for _, is_real in _eig_batches(n, tau, n_trials, seed, batch_size):
+        counts += np.bincount(is_real.sum(axis=1), minlength=n + 1)
     out = []
     for k in range(n + 1):
         p_hat = counts[k] / n_trials

@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .ellipse import tail_mass, tail_quantile
 from .errors import DomainError
@@ -207,17 +206,40 @@ class DimensionLiftReport:
     rhs_support: int
 
 
-def _gaussian_moments(a: np.ndarray, b: np.ndarray, c: float, top: int) -> list[np.ndarray]:
-    """[M_0, ..., M_top] with M_j = int_a^b t^j exp(-c t^2) dt, elementwise.
+def _at_ends(f, x: np.ndarray, shared: float) -> np.ndarray:
+    """f at each element of x; elements equal to ``shared`` (interval ends
+    clipped to the window) share one evaluation."""
+    own = x != shared
+    if own.all():
+        return np.fromiter(map(f, x.tolist()), float, x.size)
+    out = np.full(x.shape, f(shared))
+    out[own] = np.fromiter(map(f, x[own].tolist()), float)
+    return out
+
+
+def _gaussian_moments(a, b: np.ndarray, c: float, top: int,
+                      t_lo: float, t_hi: float) -> list[np.ndarray]:
+    """[M_0, ..., M_top] with M_j = int_a^b t^j exp(-c t^2) dt, elementwise,
+    for t_lo <= a <= b <= t_hi; a may be 0-d.
 
     M_0 comes from erf, as a difference of erfc in whichever tail holds both
-    ends so that it does not cancel; M_1 and up follow from integrating
-    d/dt (t^j exp(-c t^2)) by parts: 2c M_(j+1) = j M_(j-1) - [t^j exp(-c t^2)]_a^b.
+    ends so that it does not cancel; the ends equal to t_lo, and those equal
+    to t_hi, share one evaluation. M_1 and up follow from integrating
+    d/dt (t^j exp(-c t^2)) by parts:
+    2c M_(j+1) = j M_(j-1) - [t^j exp(-c t^2)]_a^b.
     """
-    lo, hi = math.sqrt(c) * a, math.sqrt(c) * b
-    erf_diff = np.where(lo >= 0.0, special.erfc(lo) - special.erfc(hi),
-                        np.where(hi <= 0.0, special.erfc(-hi) - special.erfc(-lo),
-                                 special.erf(hi) - special.erf(lo)))
+    root_c = math.sqrt(c)
+    lo, hi = np.broadcast_arrays(root_c * a, root_c * b)
+    lo_end, hi_end = root_c * t_lo, root_c * t_hi
+    erf_diff = np.empty(hi.shape)
+    upper, lower = lo >= 0.0, hi <= 0.0
+    inner = ~(upper | lower)
+    erf_diff[upper] = (_at_ends(math.erfc, lo[upper], lo_end)
+                       - _at_ends(math.erfc, hi[upper], hi_end))
+    erf_diff[lower] = (_at_ends(math.erfc, -hi[lower], -hi_end)
+                       - _at_ends(math.erfc, -lo[lower], -lo_end))
+    erf_diff[inner] = (_at_ends(math.erf, hi[inner], hi_end)
+                       - _at_ends(math.erf, lo[inner], lo_end))
     moments = [0.5 * math.sqrt(math.pi / c) * erf_diff]
     wa, wb = np.exp(-c * a * a), np.exp(-c * b * b)  # t^j exp(-c t^2) at both ends
     for j in range(top):
@@ -241,18 +263,25 @@ def _lift_integrals(values: np.ndarray, is_real: np.ndarray, m: int, c: float,
     """
     batch, size = values.shape
     a = np.maximum(values[:, m].real if m < size else -math.inf, t_lo)
-    # An empty interval becomes a == b, whose moments are exactly 0.
-    b = np.maximum(np.minimum(values[:, m - 1].real, t_hi), a)
+    b = np.minimum(values[:, m - 1].real, t_hi)
+    live = a < b
+    # Trials whose interval misses the window contribute exactly 0; only the
+    # others are integrated.
+    rows = np.flatnonzero(live)
+    values = values[rows]
+    a = a[rows] if a.ndim else a
     # Coefficients of prod(l_i - t) in ascending powers of t.
-    coef = np.zeros((batch, size + 1), dtype=complex)
+    coef = np.zeros((rows.size, size + 1), dtype=complex)
     coef[:, 0] = 1.0
     for i in range(size):
         coef_next = values[:, i : i + 1] * coef
         coef_next[:, 1:] -= coef[:, :-1]
         coef = coef_next
-    sign = np.where(is_real[:, m:].sum(axis=1) % 2, -1.0, 1.0)
-    moments = _gaussian_moments(a, b, c, size)
-    return sign * sum(coef[:, j].real * moments[j] for j in range(size + 1)), a < b
+    sign = np.where(is_real[rows, m:].sum(axis=1) % 2, -1.0, 1.0)
+    moments = _gaussian_moments(a, b[rows], c, size, t_lo, t_hi)
+    out = np.zeros(batch)
+    out[rows] = sign * sum(coef[:, j].real * moments[j] for j in range(size + 1))
+    return out, live
 
 
 def verify_dimension_lift(
@@ -301,7 +330,7 @@ def verify_dimension_lift(
     lhs = lhs_moments.estimate(seed_lhs)
 
     log_const = (
-        float(special.gammaln(n / 2.0))
+        math.lgamma(n / 2.0)
         + 0.5 * n * math.log(2.0)
         + 0.5 * math.log1p(tau)
         - 0.5 * n * math.log(n - 1.0)

@@ -1,8 +1,9 @@
 """Closed forms and quadrature for the elliptic-ensemble rate machinery.
 
-This module evaluates, in double precision:
+This module evaluates, in double precision and with the standard library's
+special functions only:
 
-* erfc and an underflow-safe log(erfc),
+* an underflow-safe log(erfc),
 * the large-deviation rate function I(x; tau) of the rightmost real
   eigenvalues of the elliptic ensemble,
 * the logarithmic potential phi(x, y; tau) of the uniform law on the ellipse
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, QuadratureToleranceError
 
@@ -50,22 +50,32 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def erfc(x: float) -> float:
-    """Complementary error function (2/sqrt(pi)) * int_x^inf exp(-t^2) dt."""
-    return float(special.erfc(x))
+#: Above this, erfc(x) < 1e-295 nears the subnormal range and log_erfc uses
+#: the continued fraction of erfcx instead.
+_ERFC_NORMAL_LIMIT = 26.0
+
+#: Terms of the erfcx continued fraction; at x >= 26 it has converged to
+#: rounding long before.
+_ERFCX_TERMS = 60
 
 
 def log_erfc(x: float) -> float:
     """log(erfc(x)), finite for every finite x.
 
-    For x >= 0 the scaled function erfcx(x) = exp(x^2) erfc(x) is used, which
-    stays in range where erfc itself underflows; for x < 0 erfc is in [1, 2)
-    and the direct log is exact enough.
+    Below 26, erfc(x) is a normal double and its log is taken directly.
+    Above, erfc(x) = exp(-x^2) erfcx(x) with Laplace's continued fraction
+
+        sqrt(pi) erfcx(x) = 1 / (x + (1/2) / (x + (2/2) / (x + (3/2) / (x + ...)))),
+
+    evaluated bottom-up, stays in range where erfc itself underflows.
     """
     x = float(x)
-    if x >= 0.0:
-        return float(np.log(special.erfcx(x))) - x * x
-    return float(np.log(special.erfc(x)))
+    if x <= _ERFC_NORMAL_LIMIT:
+        return math.log(math.erfc(x))
+    tail = 0.0
+    for k in range(_ERFCX_TERMS, 0, -1):
+        tail = 0.5 * k / (x + tail)
+    return -x * x - math.log(x + tail) - 0.5 * math.log(math.pi)
 
 
 def rate_function(x: float, tau: float) -> float:
@@ -256,5 +266,5 @@ def log_norm_constant(n: int, tau: float) -> float:
     if not -1.0 < tau <= 1.0:
         raise DomainError(f"log_norm_constant requires -1 < tau <= 1, got tau={tau}")
     quarter = 0.25 * n * (n + 1)
-    gammas = float(special.gammaln(np.arange(1, n + 1) / 2.0).sum())
+    gammas = math.fsum(math.lgamma(0.5 * j) for j in range(1, n + 1))
     return quarter * (math.log(2.0) - math.log(n)) + 0.5 * n * math.log1p(tau) + gammas

@@ -21,7 +21,7 @@ from equicount.gee import (
     prob_k_real,
     sample_gee_entries,
 )
-from equicount.sampling import substream
+from equicount.sampling import batch_sizes, substream
 
 SEED = 31337
 
@@ -320,6 +320,18 @@ class TestProbKReal:
         counts = [round(e.mean * trials) for e in out]
         assert sum(counts) == trials
         assert counts[1] == 0 and counts[3] == 0  # parity-impossible k
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_counts_match_inline_loop(self, n):
+        # The batch driver draws batch j from substream(seed, j), as a plain
+        # loop does; at n = 5 it runs the batches on its thread pool.
+        trials, seed = 2 * 4096 + 17, SEED + n
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for index, take in batch_sizes(trials, 4096):
+            _, is_real = eigvals_batch(sample_gee_entries(n, 0.3, substream(seed, index), take))
+            counts += np.bincount(is_real.sum(axis=1), minlength=n + 1)
+        out = prob_k_real(n, 0.3, trials, seed)
+        assert [e.mean for e in out] == (counts / trials).tolist()
 
     def test_n2_real_sector_frequency(self):
         trials = 100_000

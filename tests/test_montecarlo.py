@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from equicount import montecarlo
 from equicount.errors import DomainError, EigensolverError
@@ -15,6 +15,7 @@ from equicount.montecarlo import (
     FULL_LINE,
     IntervalB,
     _eig_batches,
+    _gaussian_moments,
     _lift_integrals,
     concentration_miss_fractions,
     empirical_spectral_test,
@@ -198,6 +199,60 @@ class TestVerifyDimensionLift:
     def test_m_bounds(self):
         with pytest.raises(DomainError):
             verify_dimension_lift(3, 3, 0.0, IntervalB(1.0, 1.4), n_trials=100, seed=SEED)
+
+
+class TestGaussianMoments:
+    """M_0 = int_a^b exp(-c t^2) dt against scipy's erf and erfc, taken in the
+    same tail, on intervals whose ends are partly clipped to the window."""
+
+    C = 0.8
+
+    @classmethod
+    def reference(cls, a, b):
+        lo, hi = np.broadcast_arrays(math.sqrt(cls.C) * a, math.sqrt(cls.C) * b)
+        diff = np.where(lo >= 0.0, special.erfc(lo) - special.erfc(hi),
+                        np.where(hi <= 0.0, special.erfc(-hi) - special.erfc(-lo),
+                                 special.erf(hi) - special.erf(lo)))
+        return 0.5 * math.sqrt(math.pi / cls.C) * diff
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(-3.0, 3.0), (-3.0, -0.5), (0.5, 3.0)])
+    def test_m0_against_scipy(self, t_lo, t_hi):
+        rng = np.random.default_rng(SEED)
+        a, b = np.sort(rng.uniform(t_lo, t_hi, size=(2, 3000)), axis=0)
+        a[::3] = t_lo
+        b[1::4] = t_hi
+        got = _gaussian_moments(a, b, self.C, 0, t_lo, t_hi)[0]
+        want = self.reference(a, b)
+        # Both sides carry a few ulps of erfc; a short interval's difference
+        # cancels them into a large relative error, so its bound is absolute.
+        assert np.all(np.abs(got - want) <= 2e-15)
+        wide = b - a >= 0.05
+        assert np.all(np.abs(got - want)[wide] <= 1e-13 * np.abs(want[wide]))
+        lo, hi = math.sqrt(self.C) * a[wide], math.sqrt(self.C) * b[wide]
+        if t_lo < 0.0 < t_hi:  # all three tails are exercised, clipped and not
+            for branch in (lo >= 0.0, hi <= 0.0, (lo < 0.0) & (hi > 0.0)):
+                assert branch.sum() >= 100
+
+    def test_scalar_lower_end(self):
+        # With m equal to the matrix size every lower end is the window's.
+        t_lo, t_hi = -1.0, 2.0
+        b = np.random.default_rng(SEED).uniform(t_lo + 0.05, t_hi, size=500)
+        b[::5] = t_hi
+        got = _gaussian_moments(np.float64(t_lo), b, self.C, 2, t_lo, t_hi)
+        want = self.reference(np.float64(t_lo), b)
+        assert np.all(np.abs(got[0] - want) <= 1e-13 * np.abs(want))
+        assert all(moment.shape == b.shape for moment in got)
+
+    def test_clipped_ends_share_one_evaluation(self, monkeypatch):
+        calls = []
+        for name in ("erf", "erfc"):
+            original = getattr(math, name)
+            monkeypatch.setattr(math, name, lambda x, f=original: calls.append(x) or f(x))
+        t_lo, t_hi = 0.5, 3.0
+        b = np.full(1000, t_hi)
+        b[:10] = np.linspace(1.0, 2.0, 10)
+        _gaussian_moments(np.float64(t_lo), b, self.C, 0, t_lo, t_hi)
+        assert len(calls) == 10 + 2  # the unclipped ends, and each window end once
 
 
 class TestLiftIntegrals:

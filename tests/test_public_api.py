@@ -1,4 +1,10 @@
-"""Package surface: every exported name exists, and none is listed twice."""
+"""Package surface: every exported name exists, none is listed twice, and the
+library imports and runs without scipy (only the test suite uses it)."""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import equicount
 
@@ -7,3 +13,23 @@ def test_all_names_resolve_without_duplicates():
     assert len(equicount.__all__) == len(set(equicount.__all__))
     missing = [name for name in equicount.__all__ if not hasattr(equicount, name)]
     assert missing == []
+
+
+def test_no_scipy_import(tmp_path):
+    source = str(Path(equicount.__file__).parents[1])
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {source!r})
+        import equicount, equicount.cli
+        code = equicount.cli.main(["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3",
+                                   "--trials", "3000", "--seed", "7",
+                                   "--out", {str(tmp_path / "lift.json")!r}])
+        assert code in (0, 3), code
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(",".join(loaded))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+    assert (tmp_path / "lift.json").exists()

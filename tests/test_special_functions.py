@@ -1,10 +1,11 @@
 """Special functions: closed forms against independent oracles.
 
 Frozen oracle values and their provenance:
-  erfc(1)      = 0.15729920705028513   adaptive quadrature of the defining
-                                        integral (recomputed in-test)
   log_erfc(30) = -903.9741171106439    mpmath at 40 digits
   I(2; 0)      = 0.8068528194400547    hand evaluation: 2 - 1/2 - log 2
+
+scipy, which the library does not import, is the reference for the
+standard-library special functions the library uses.
 """
 
 import cmath
@@ -12,14 +13,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from equicount.errors import DomainError, QuadratureToleranceError
 from equicount.special_functions import (
+    _ERFC_NORMAL_LIMIT,
     QuadratureSpec,
     _angular_mean,
     adaptive_quadrature,
-    erfc,
     log_erfc,
     log_norm_constant,
     log_potential,
@@ -33,25 +34,6 @@ QUAD = QuadratureSpec()
 def quadrature_erfc(x: float) -> float:
     value, _ = integrate.quad(lambda t: math.exp(-t * t), x, np.inf, epsabs=1e-14, epsrel=1e-14)
     return 2.0 / math.sqrt(math.pi) * value
-
-
-class TestErfc:
-    def test_half_mass_at_zero(self):
-        assert erfc(0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_symmetry_sums_to_two(self):
-        for x in (0.3, 1.0, 2.5, 7.0):
-            assert erfc(x) + erfc(-x) == pytest.approx(2.0, abs=1e-14)
-
-    def test_against_defining_integral(self):
-        for x in (0.25, 1.0, 2.0):
-            assert erfc(x) == pytest.approx(quadrature_erfc(x), rel=1e-12)
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-12)
-
-    def test_monotone_decreasing(self):
-        xs = np.linspace(-3, 3, 41)
-        values = [erfc(x) for x in xs]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestLogErfc:
@@ -68,6 +50,23 @@ class TestLogErfc:
 
     def test_negative_arguments(self):
         assert log_erfc(-5.0) == pytest.approx(math.log(2.0), rel=1e-10)
+
+    def test_against_scipy_on_both_sides_of_the_switch(self):
+        # Below the switch log(erfc) is taken directly, above it comes from
+        # the continued fraction of erfcx; scipy's erfcx covers both.
+        limit = _ERFC_NORMAL_LIMIT
+        xs = np.concatenate([
+            np.linspace(-10.0, 10.0, 4001),
+            np.linspace(limit - 2.0, limit + 2.0, 801),
+            [limit, np.nextafter(limit, math.inf)],
+            np.geomspace(limit, 1e6, 400),
+        ])
+        for x in xs.tolist():
+            if x >= 0.0:
+                reference = math.log(special.erfcx(x)) - x * x
+            else:
+                reference = math.log(special.erfc(x))
+            assert abs(log_erfc(x) - reference) <= 1e-15 + 1e-14 * abs(reference), x
 
 
 class TestRateFunction:
@@ -243,6 +242,15 @@ class TestLogNormConstant:
             + 0.25 * n * (n + 1) * math.log((n - m) / n)
         ) / n
         assert value == pytest.approx(m / 2.0, abs=1e-2)
+
+    def test_against_scipy_gammaln(self):
+        n = np.arange(1, 3001)
+        gammas = np.cumsum(special.gammaln(n / 2.0))
+        for tau in (0.0, 0.3, -0.6):
+            reference = (0.25 * n * (n + 1) * (math.log(2.0) - np.log(n))
+                         + 0.5 * n * math.log1p(tau) + gammas)
+            got = np.array([log_norm_constant(k, tau) for k in n.tolist()])
+            assert np.all(np.abs(got - reference) <= 1e-14 * np.abs(reference))
 
     def test_domain(self):
         with pytest.raises(DomainError):
