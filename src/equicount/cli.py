@@ -30,6 +30,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
 from . import __version__
 from .errors import ConstraintError, DomainError, EquicountError
 from .montecarlo import (
@@ -132,6 +137,11 @@ def _write_output(out_path: str | None, payload: str) -> None:
         log.write(f"eigensolve workers at n >= 4: {eig_workers(4)}\n")
         for var in _THREAD_VARS:
             log.write(f"{var}={os.environ.get(var, '(unset)')}\n")
+        if resource is not None:
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            kib = usage.ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+            log.write(f"peak resident memory MiB: {kib / 1024:.1f}\n"
+                      f"cpu seconds: {usage.ru_utime + usage.ru_stime:.2f}\n")
 
 
 def _csv_payload(config: dict, header: list[str], rows: list[list[str]]) -> str:

@@ -23,7 +23,8 @@ eigenvalue.
 Everything is deterministic given (seed, n_trials, batch_size); see
 ``sampling`` for the substream contract. At n >= 4 the batches run
 concurrently on one thread per CPU of the affinity mask (``eig_workers``);
-the contract makes every result independent of that.
+the contract makes every result independent of that, and of each batch
+being sampled and eigensolved in 512 KiB chunks to bound memory.
 """
 
 from __future__ import annotations
@@ -95,27 +96,52 @@ def eig_workers(n: int) -> int:
     return os.cpu_count() or 1
 
 
-def _eig_batch(n: int, tau: float, seed: int, index: int, take: int):
-    return eigvals_batch(sample_gee_entries(n, tau, substream(seed, index), take))
+#: Matrix entries sampled and eigensolved at a time within a batch (512 KiB):
+#: 40 matrices at n = 40, one from n = 256 on, a whole batch at n <= 3.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, held=None):
+    """Ordered eigenvalues and realness of batch ``index``, sampled and
+    eigensolved chunk by chunk from ``substream(seed, index)``. The sampler
+    consumes the stream in order and the eigensolver works matrix by matrix,
+    so the values are bitwise those of the one whole-batch draw that a batch
+    of one chunk still makes; its stack goes to ``held[0]``, when given."""
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    if take <= chunk:
+        mats = sample_gee_entries(n, tau, substream(seed, index), take)
+        if held is not None:
+            held[0] = mats
+        return eigvals_batch(mats)
+    rng = substream(seed, index)
+    values = np.empty((take, n), dtype=complex)
+    is_real = np.empty((take, n), dtype=bool)
+    for start in range(0, take, chunk):
+        mats = sample_gee_entries(n, tau, rng, min(chunk, take - start))
+        part = slice(start, start + len(mats))
+        values[part], is_real[part] = eigvals_batch(mats)
+    return values, is_real
 
 
 def _eig_batches(n: int, tau: float, n_trials: int, seed: int, batch_size: int):
     """Yield (ordered eigenvalues, realness) of each batch, in batch order.
 
     Batch j draws from ``substream(seed, j)``, so its values do not depend on
-    which thread computes it. With more than one worker the batches run on a
-    thread pool (numpy's sampler and eigensolver release the GIL), at most
-    ``eig_workers(n)`` in flight; an error in a batch is raised here, and
-    closing the generator early waits for the batches in flight.
+    which thread computes it. A batch in flight holds its (batch, n) spectrum
+    and one chunk of at most 512 KiB. With more than one worker the batches
+    run on a thread pool (numpy's sampler and eigensolver release the GIL),
+    at most ``eig_workers(n)`` in flight; an error in a batch is raised here,
+    and closing the generator early waits for the batches in flight.
     """
     batches = batch_sizes(n_trials, batch_size)
     workers = eig_workers(n)
     if workers == 1:
+        # Binding a one-chunk batch's stack (every batch at n <= 3) until the
+        # next batch is drawn keeps the heap warm: freeing it before the yield
+        # doubled the page faults of an n <= 3 run.
+        held = [None]
         for index, take in batches:
-            # Binding the stack until the next batch keeps the heap warm: freeing
-            # it before the yield doubled the page faults of an n <= 3 run.
-            mats = sample_gee_entries(n, tau, substream(seed, index), take)
-            yield eigvals_batch(mats)
+            yield _eig_batch(n, tau, seed, index, take, held)
         return
     from concurrent.futures import ThreadPoolExecutor
 

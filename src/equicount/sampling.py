@@ -4,12 +4,13 @@ Seeding contract
 ----------------
 A single nonnegative 64-bit ``seed`` determines every random draw. Work is
 split into fixed-size batches; batch ``j`` draws from the generator
-``substream(seed, j)``, and reductions run in batch order. Results are
-therefore bit-identical for a given (seed, n_trials, batch_size) regardless
-of how batches are scheduled: ``montecarlo._eig_batches`` computes them
-concurrently at LAPACK sizes and hands them over in batch order. Derived
-seeds for independent sub-tasks (e.g. the two sides of an identity check)
-come from ``derive_seed``.
+``substream(seed, j)``, possibly in consecutive pieces that consume it in
+order, and reductions run in batch order. Results are therefore bit-identical
+for a given (seed, n_trials, batch_size) regardless of how batches are split
+or scheduled: ``montecarlo._eig_batches`` draws each in 512 KiB chunks,
+computes them concurrently at LAPACK sizes and hands them over in batch
+order. Derived seeds for independent sub-tasks (e.g. the two sides of an
+identity check) come from ``derive_seed``.
 """
 
 from __future__ import annotations

@@ -134,6 +134,9 @@ class TestEstimateCommand:
         assert f"eigensolve workers at n >= 4: {montecarlo.eig_workers(4)}" in log
         assert "OMP_NUM_THREADS=1" in log and "MKL_NUM_THREADS=(unset)" in log
         assert any(line.startswith("OPENBLAS_NUM_THREADS=") for line in log)
+        if cli.resource is not None:  # both lines are skipped without it
+            assert any(line.startswith("peak resident memory MiB: ") for line in log)
+            assert any(line.startswith("cpu seconds: ") for line in log)
 
     def test_bad_model_params_exit_2(self):
         code = main([

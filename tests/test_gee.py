@@ -14,6 +14,7 @@ from scipy import integrate, linalg
 
 from equicount.errors import DomainError, EigensolverError
 from equicount.gee import (
+    _MIX_ENTRIES,
     _mixing_coefficients,
     _order_key,
     eigvals_batch,
@@ -103,6 +104,19 @@ def test_sampler_matches_mixing_formula_bitwise(tau, n, size):
     g = substream(SEED, size).standard_normal((size, n, n)) / math.sqrt(n)
     want = a * g + b * np.swapaxes(g, 1, 2)
     got = sample_gee_entries(n, tau, substream(SEED, size), size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 4, 40, 100])
+@pytest.mark.parametrize("tau", [0.0, 1e-20, 0.3, 1.0])
+def test_sampler_drawn_in_pieces_matches_one_draw_bitwise(tau, n):
+    """Consecutive draws from one generator continue its stream, so a batch
+    may be sampled in pieces. The pieces straddle the mixing blocks."""
+    step = max(1, _MIX_ENTRIES // (n * n))
+    pieces = [step + 1, max(step - 1, 1), 2 * step + 1, 1]
+    rng = substream(SEED, n)
+    got = np.concatenate([sample_gee_entries(n, tau, rng, k) for k in pieces])
+    want = sample_gee_entries(n, tau, substream(SEED, n), sum(pieces))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

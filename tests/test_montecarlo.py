@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,16 +79,37 @@ class TestEigBatches:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("n_trials", [1, 4096, 4097, 3 * 4096 + 5])
-    @pytest.mark.parametrize("tau", [0.0, 0.3])
-    @pytest.mark.parametrize("n", [4, 10])
-    def test_matches_inline_loop_bitwise(self, n, tau, n_trials):
-        got = list(_eig_batches(n, tau, n_trials, SEED, 4096))
+    @pytest.mark.parametrize("n, tau, n_trials", [
+        *((n, tau, n_trials) for n in (4, 10) for tau in (0.0, 0.3)
+          for n_trials in (1, 4096, 4097, 3 * 4096 + 5)),
+        *((40, tau, n_trials) for tau in (0.0, 0.3) for n_trials in (41, 4096 + 41)),
+        *((100, tau, n_trials) for tau in (0.0, 0.3) for n_trials in (1, 7, 13)),
+    ])
+    def test_matches_inline_loop_bitwise(self, monkeypatch, n, tau, n_trials):
+        """On the pool and on the one-worker path; batches of n >= 40 span
+        several chunks (40 matrices at n = 40, 6 at n = 100)."""
         want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
-        assert len(got) == len(want)
-        for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
-            assert np.array_equal(values.view(np.uint64), values_ref.view(np.uint64))
-            assert np.array_equal(is_real, is_real_ref)
+        for workers in (3, 1):
+            monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
+            got = list(_eig_batches(n, tau, n_trials, SEED, 4096))
+            assert len(got) == len(want)
+            for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
+                assert np.array_equal(values.view(np.uint64), values_ref.view(np.uint64))
+                assert np.array_equal(is_real, is_real_ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_batch_stack(self, monkeypatch, workers):
+        """A batch in flight holds its spectrum and one 512 KiB chunk; a full
+        4096 x 40 x 40 stack alone would be 50 MiB."""
+        monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
+        tracemalloc.start()
+        try:
+            for _ in _eig_batches(40, 0.0, 8192, SEED, 4096):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
         error = EigensolverError("injected failure")
