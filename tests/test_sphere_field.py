@@ -5,12 +5,14 @@ The J = 0 configuration is fully solvable by hand (two antipodal equilibria
 at +-sqrt(3) h/|h| with multipliers +-|h|/sqrt(3)) and anchors the solver.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from equicount import sphere_field
+from equicount.cli import main
 from equicount.errors import DomainError, SampleFlaggedError
 from equicount.montecarlo import estimate_equilibria_count
 from equicount.rates import derive_tau_b
@@ -282,3 +284,29 @@ class TestEstimatorCrossCheckSphere:
             3, 1, field_model_params(sigma2), n_trials=200_000, seed=SEED + 6, index_variant="m"
         )
         assert z_score(legacy, oracle.per_m[1]) > 5.0
+
+
+# sha256 of oracle-compare outputs at --sigma2 0.25 --samples 60 --trials 2000
+# --seed 1, recorded when each sample was still solved on its own; solving
+# samples together must not change a byte.
+ORACLE_ARGV = ["oracle-compare", "--sigma2", "0.25", "--samples", "60", "--trials", "2000",
+               "--seed", "1"]
+
+
+@pytest.mark.parametrize("n, digest", [
+    (2, "62a7e420a63f63401803858071b03341d3aaffae786734ad22475a43b26dfaa7"),
+    (3, "11519e85cf055a92c81780250b7372dd9d717bc3560ee3aa5ad55b29ec1fbbad"),
+])
+def test_oracle_compare_record_bytes_pinned(tmp_path, n, digest):
+    out = tmp_path / "oc.json"
+    assert main(ORACLE_ARGV + ["--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_equilibria_dump_bytes_pinned(tmp_path):
+    dump = tmp_path / "eq.csv"
+    argv = ORACLE_ARGV + ["--n", "3", "--out", str(tmp_path / "oc.json"),
+                          "--dump-equilibria", str(dump)]
+    assert main(argv) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "6a8a76a0845ec1b43da109e5a8e35416fda1c5a0376e6f30bb10627ec15c6fd3")
