@@ -63,7 +63,6 @@ from .sphere_field import (
     field_model_params,
     find_equilibria_circle,
     find_equilibria_sphere,
-    lagrange_histogram,
     oracle_mean_counts,
     sample_field,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "field_model_params",
     "find_equilibria_circle",
     "find_equilibria_sphere",
-    "lagrange_histogram",
     "log_eigenvalue_density",
     "log_erfc",
     "log_norm_constant",

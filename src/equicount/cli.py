@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -126,12 +127,26 @@ def _require_at_least(command: str, flag: str, value: int, bound: int) -> None:
         raise DomainError(f"{command} requires {flag} >= {bound}, got {value}")
 
 
-def _write_output(out_path: str | None, payload: str) -> None:
+def _write_output(out_path: str | None, payload, sidecar=()) -> None:
+    """Write ``payload``, a string or an iterable of string chunks written as
+    they come, to ``out_path`` (stdout if None). A file gets a ``.log``
+    sidecar with the run's environment, then the ``sidecar`` lines.
+
+    The first chunk is made before the file is opened, and a file whose
+    later chunks fail is removed: a data file is whole or absent.
+    """
+    chunks = iter((payload,) if isinstance(payload, str) else payload)
+    first = next(chunks, "")
     if out_path is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(itertools.chain((first,), chunks))
         return
     with open(out_path, "w") as fh:
-        fh.write(payload)
+        try:
+            fh.writelines(itertools.chain((first,), chunks))
+        except BaseException:
+            fh.close()
+            os.remove(out_path)
+            raise
     with open(out_path + ".log", "w") as log:
         log.write(f"written at {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
         log.write(f"eigensolve workers at n >= 4: {eig_workers(4)}\n")
@@ -142,41 +157,51 @@ def _write_output(out_path: str | None, payload: str) -> None:
             kib = usage.ru_maxrss / (1024 if sys.platform == "darwin" else 1)
             log.write(f"peak resident memory MiB: {kib / 1024:.1f}\n"
                       f"cpu seconds: {usage.ru_utime + usage.ru_stime:.2f}\n")
+        log.writelines(line + "\n" for line in sidecar)
 
 
-def _csv_payload(config: dict, header: list[str], rows: list[list[str]]) -> str:
+def _csv_chunks(config: dict, header: list[str], batches):
+    """CSV text in chunks: one per batch of text rows, the first carrying the
+    config comment and the header."""
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    for rows in batches:
+        writer.writerows(rows)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    if buf.tell():
+        yield buf.getvalue()
 
 
-def _emit_record(args, op: str, params: dict, **fields) -> None:
+def _emit_record(args, op: str, params: dict, sidecar=(), **fields) -> None:
     """Write one JSON record: the command, its resolved parameters and its
     results, plus the master seed (when the command takes one) and the version."""
     record = {"op": op, "params": params, **fields, "version": __version__}
     if hasattr(args, "seed"):
         record["seed"] = args.seed
-    _write_output(args.out, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_output(args.out, json.dumps(record, sort_keys=True, indent=2) + "\n", sidecar)
 
 
-def _emit_table(args, command: str, config: dict, header: list[str], rows: list[list]) -> None:
-    """Write typed rows as CSV (default) or as the JSON record schema.
+def _emit_table(args, command: str, config: dict, header: list[str], batches) -> None:
+    """Write batches of typed rows as CSV (default), one batch at a time, or
+    as the JSON record schema, which holds every row in memory.
 
     Row cells are python values; floats go through the infinity-aware
     formatter for CSV and through the tagged encoding for JSON.
     """
     fmt = getattr(args, "format", "csv")
     if fmt == "csv":
-        text_rows = [
-            [_fmt(v) if isinstance(v, float) else ("" if v is None else str(v)) for v in row]
-            for row in rows
-        ]
-        _write_output(args.out, _csv_payload(config, header, text_rows))
+        text_batches = (
+            [[_fmt(v) if isinstance(v, float) else ("" if v is None else str(v)) for v in row]
+             for row in rows]
+            for rows in batches
+        )
+        _write_output(args.out, _csv_chunks(config, header, text_batches))
         return
-    results = [dict(zip(header, map(_json_cell, row))) for row in rows]
+    results = [dict(zip(header, map(_json_cell, row))) for rows in batches for row in rows]
     _emit_record(args, command, config, results=results)
 
 
@@ -209,7 +234,7 @@ def _cmd_rates(args) -> int:
                 for gamma in gammas:
                     result = rate_diverging_index(float(b), float(tau), float(gamma))
                     rows.append([float(b), float(tau), float(gamma), result.branch, result.rate])
-    _emit_table(args, "rates", config, ["b", "tau", "gamma_or_c", "branch", "rate"], rows)
+    _emit_table(args, "rates", config, ["b", "tau", "gamma_or_c", "branch", "rate"], [rows])
     return 0
 
 
@@ -220,7 +245,7 @@ def _cmd_threshold_curve(args) -> int:
     for b in grid:
         tau = threshold_tau(float(b))
         rows.append([float(b), tau, rate_fixed_index(float(b), tau).rate])
-    _emit_table(args, "threshold-curve", config, ["b", "tau_threshold", "rate_at_threshold"], rows)
+    _emit_table(args, "threshold-curve", config, ["b", "tau_threshold", "rate_at_threshold"], [rows])
     return 0
 
 
@@ -230,7 +255,7 @@ def _cmd_s_gamma(args) -> int:
     s = tail_quantile(args.gamma, args.tau, tol=args.tol)
     config = {"command": "s-gamma", "gamma": args.gamma, "tau": args.tau, "tol": args.tol}
     rows = [[args.gamma, args.tau, s, float(tail_mass(s, args.tau))]]
-    _emit_table(args, "s-gamma", config, ["gamma", "tau", "s_gamma", "tail_mass"], rows)
+    _emit_table(args, "s-gamma", config, ["gamma", "tau", "s_gamma", "tail_mass"], [rows])
     return 0
 
 
@@ -242,18 +267,22 @@ def _cmd_sample_gee(args) -> int:
         "command": "sample-gee", "n": args.n, "tau": args.tau,
         "trials": args.trials, "seed": args.seed,
     }
-    rows = []
-    trial = 0
-    for values, is_real in _eig_batches(args.n, args.tau, args.trials, seed, 1024):
-        for t in range(values.shape[0]):
-            for j in range(args.n):
-                rows.append([
-                    trial, j + 1,
-                    float(values[t, j].real), float(values[t, j].imag),
-                    int(is_real[t, j]),
-                ])
-            trial += 1
-    _emit_table(args, "sample-gee", config, ["trial_index", "j", "re", "im", "is_real"], rows)
+
+    def batches():
+        trial = 0
+        for values, is_real in _eig_batches(args.n, args.tau, args.trials, seed, 1024):
+            rows = []
+            for t in range(values.shape[0]):
+                for j in range(args.n):
+                    rows.append([
+                        trial, j + 1,
+                        float(values[t, j].real), float(values[t, j].imag),
+                        int(is_real[t, j]),
+                    ])
+                trial += 1
+            yield rows
+
+    _emit_table(args, "sample-gee", config, ["trial_index", "j", "re", "im", "is_real"], batches())
     return 0
 
 
@@ -342,7 +371,7 @@ def _cmd_oracle_compare(args) -> int:
                 + [_fmt(x) for x in eq.position]
                 + [_fmt(eq.residual)]
             )
-        _write_output(args.dump_equilibria, _csv_payload(config, header, rows))
+        _write_output(args.dump_equilibria, _csv_chunks(config, header, [rows]))
     comparisons = []
     worst = 0.0
     total_est_mean = 0.0
@@ -370,6 +399,7 @@ def _cmd_oracle_compare(args) -> int:
     total = {"estimate": total_est_mean, "oracle": oracle.total.mean, "z_score": total_z}
     _emit_record(
         args, "oracle-compare", params,
+        sidecar=[f"flagged {reason}: {k}" for reason, k in sorted(oracle.flag_reasons.items())],
         results=comparisons, total=total, flagged_rate=oracle.flagged_rate,
     )
     return 0 if worst < Z_GATE else 3
@@ -389,7 +419,7 @@ def _cmd_ldp_tail(args) -> int:
         [pt.n, pt.rate_hat, pt.reference, pt.hits, int(not pt.sufficient)]
         for pt in points
     ]
-    _emit_table(args, "ldp-tail", config, ["n", "rate_hat", "reference", "hits", "flagged"], rows)
+    _emit_table(args, "ldp-tail", config, ["n", "rate_hat", "reference", "hits", "flagged"], [rows])
     return 0
 
 
@@ -405,7 +435,7 @@ def _cmd_lagrange_rates(args) -> int:
     if args.with_cutoff:
         z0 = multiplier_cutoff(args.b, args.tau, args.dphi1, args.m)
         rows.append([args.b, args.tau, z0, "cutoff", 0.0])
-    _emit_table(args, "lagrange-rates", config, ["b", "tau", "gamma_or_c", "branch", "rate"], rows)
+    _emit_table(args, "lagrange-rates", config, ["b", "tau", "gamma_or_c", "branch", "rate"], [rows])
     return 0
 
 

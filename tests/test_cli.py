@@ -1,6 +1,7 @@
 """CLI: exit codes, output formats, determinism, infinity serialization."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicount import cli, montecarlo
+from equicount import cli, montecarlo, sphere_field
 from equicount.cli import main
+from equicount.errors import EigensolverError
 
 
 def run_to_file(tmp_path, name, argv):
@@ -167,6 +169,31 @@ class TestSampleGeeCommand:
         assert trials == [t for t in range(2100) for _ in range(4)]
 
 
+    def test_streamed_csv_bytes_pinned(self, tmp_path):
+        # Three batches written one at a time; digest recorded when the whole
+        # table was built in memory before writing.
+        out = tmp_path / "s.csv"
+        assert main(["sample-gee", "--n", "4", "--tau", "0.2", "--trials", "2100", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fb16f8d1292455158fb60dc11dfdd8ea30bf0e7fce9e9c67f8745aaf1e595588")
+
+    def test_failure_after_first_batch_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        batch = montecarlo._eig_batch
+
+        def second_batch_fails(n, tau, seed, index, take, held=None):
+            if index == 1:
+                raise EigensolverError("no convergence")
+            return batch(n, tau, seed, index, take, held)
+
+        monkeypatch.setattr(montecarlo, "_eig_batch", second_batch_fails)
+        out = tmp_path / "s.csv"
+        code = main(["sample-gee", "--n", "3", "--tau", "0.2", "--trials", "2100", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 2 and "no convergence" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_gate_passes_on_identity(self, tmp_path):
         code, text = run_to_file(
@@ -208,6 +235,21 @@ class TestOracleCompareCommand:
         assert abs(float(first[4]) ** 2 + float(first[5]) ** 2 - 2.0) < 1e-9
         record = json.loads(out.read_text())
         assert record["flagged_rate"] < 0.01
+
+    def test_flag_reasons_go_to_sidecar(self, tmp_path, monkeypatch):
+        # A slope floor far above rounding flags the samples with a shallow
+        # root as degenerate; the record keeps only the rate.
+        monkeypatch.setattr(sphere_field, "_SLOPE_FLOOR", 0.5)
+        out = tmp_path / "oc.json"
+        code = main(["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "200",
+                     "--trials", "1000", "--seed", "4", "--out", str(out)])
+        assert code in (0, 3)
+        flagged = round(json.loads(out.read_text())["flagged_rate"] * 200)
+        assert 0 < flagged < 200
+        log = (tmp_path / "oc.json.log").read_text().splitlines()
+        assert [line for line in log if line.startswith("flagged ")] == [
+            f"flagged degenerate-root: {flagged}"]
+        assert "flagged" not in out.read_text().replace("flagged_rate", "")
 
     @pytest.mark.parametrize("flag, value, bound", [
         ("--samples", "0", "--samples >= 2"),

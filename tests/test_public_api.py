@@ -1,6 +1,8 @@
-"""Package surface: every exported name exists, none is listed twice, and the
-library imports and runs without scipy (only the test suite uses it)."""
+"""Package surface: every exported name exists, none is listed twice, the
+names the benchmark tracer wraps resolve, and the library imports and runs
+without scipy (only the test suite uses it)."""
 
+import importlib.util
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,25 @@ def test_all_names_resolve_without_duplicates():
     assert len(equicount.__all__) == len(set(equicount.__all__))
     missing = [name for name in equicount.__all__ if not hasattr(equicount, name)]
     assert missing == []
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # perfbench/tracing.py wraps library attributes by name, so a renamed one
+    # must fail here rather than in a traced benchmark run.
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer("names")
+    try:
+        tracing.install(tracer)
+        wrapped = list(tracer._originals)
+        assert wrapped
+        assert all(getattr(owner, attr).__wrapped__ is original
+                   for owner, attr, original in wrapped)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original for owner, attr, original in wrapped)
 
 
 def test_no_scipy_import(tmp_path):

@@ -16,7 +16,7 @@ from equicount.cli import main
 from equicount.errors import DomainError, SampleFlaggedError
 from equicount.montecarlo import estimate_equilibria_count
 from equicount.rates import derive_tau_b
-from equicount.sampling import z_score
+from equicount.sampling import substream, z_score
 from equicount.sphere_field import (
     Equilibrium,
     FieldSample,
@@ -25,7 +25,6 @@ from equicount.sphere_field import (
     find_equilibria_circle,
     find_equilibria_sphere,
     icosphere_vertices,
-    lagrange_histogram,
     oracle_mean_counts,
     sample_field,
 )
@@ -41,6 +40,102 @@ def assert_antipodal_pairs(eqs, n):
         assert len(partners) == 1
         assert partners[0].m == n - 1 - e.m
         assert partners[0].lagrange == pytest.approx(-e.lagrange, abs=1e-9)
+
+
+def reflect_onto_chart_infinity(fs, position):
+    """The field reflected so that its equilibrium at ``position`` lands on the
+    plane the first chart sends to infinity; equilibria and indices follow
+    the reflection, which is returned with it."""
+    axis = sphere_field._CHARTS[0][:, 0]
+    x0 = position / math.sqrt(3.0)
+    target = x0 - (x0 @ axis) * axis
+    d = x0 - target / np.linalg.norm(target)
+    reflect = np.eye(3) - 2.0 * np.outer(d, d) / (d @ d)
+    coeffs = np.einsum("ia,ajk,bj,ck->ibc", reflect, fs.coeffs, reflect, reflect)
+    return FieldSample(n=3, coeffs=coeffs, drift=reflect @ fs.drift, sigma2=fs.sigma2), reflect
+
+
+def with_circle_double_root(fs, theta):
+    """The field with its drift shifted so that g has a double zero at theta.
+
+    A drift shift d adds -d0 sin + d1 cos to g: two free Fourier modes, which
+    fix g and its derivative (a complex-step derivative) at theta.
+    """
+    def g(t):
+        x = math.sqrt(2.0) * np.array([np.cos(t), np.sin(t)])
+        f = np.einsum("ijk,j,k->i", fs.coeffs, x, x) + fs.drift
+        return -f[0] * np.sin(t) + f[1] * np.cos(t)
+
+    s, c = math.sin(theta), math.cos(theta)
+    shift = np.linalg.solve([[-s, c], [-c, -s]], [-g(theta).real, -g(theta + 1e-20j).imag / 1e-20])
+    return FieldSample(n=2, coeffs=fs.coeffs, drift=fs.drift + shift, sigma2=fs.sigma2)
+
+
+def with_singular_sphere_root(fs, direction):
+    """The field with its drift shifted so that sqrt(3) u is an equilibrium
+    whose tangential Jacobian is singular, or None when that Jacobian has
+    complex eigenvalues.
+
+    The tangential part of the shift cancels F there; its radial part, mu x,
+    moves the tangential Jacobian by -mu I onto one of its eigenvalues.
+    """
+    x = math.sqrt(3.0) * direction / np.linalg.norm(direction)
+    ambient = np.einsum("ijk,j,k->i", fs.coeffs, x, x) + fs.drift
+    lam = x @ ambient / 3.0
+    frame = np.linalg.svd(x[None])[2][1:].T
+    df = np.einsum("ilk,k->il", fs.coeffs, x) + np.einsum("ikl,k->il", fs.coeffs, x)
+    eig = np.linalg.eigvals(frame.T @ (df - lam * np.eye(3)) @ frame)
+    if np.any(eig.imag != 0.0):
+        return None
+    shift = eig[0].real * x - (ambient - lam * x)
+    return FieldSample(n=3, coeffs=fs.coeffs, drift=fs.drift + shift, sigma2=fs.sigma2)
+
+
+def seeded_with_degenerate(n, count, seed):
+    """``count`` seeded samples, some replaced by degenerate fields: f = h = 0,
+    a double root, and (not flagged, but off the vectorised path) a circle
+    field of lower degree, the closed-form family on the sphere and a root
+    at the first chart's infinity."""
+    fields = [sample_field(n, 0.25, substream(seed, i)) for i in range(count)]
+    rng = np.random.default_rng(seed)
+    special = [FieldSample(n=n, coeffs=np.zeros((n, n, n)), drift=np.zeros(n), sigma2=0.0)]
+    if n == 2:
+        special.append(FieldSample(n=2, coeffs=np.zeros((2, 2, 2)), drift=np.array([0.3, -0.2]),
+                                   sigma2=0.25))
+        special += [with_circle_double_root(fs, rng.uniform(0.0, 2.0 * math.pi))
+                    for fs in fields[:8]]
+    else:
+        a, ell = rng.standard_normal((2, 3))
+        family = np.einsum("i,jk->ijk", a, np.eye(3)) + np.einsum("j,ik->ijk", ell, np.eye(3))
+        special.append(FieldSample(n=3, coeffs=family, drift=fields[0].drift, sigma2=0.25))
+        special.append(reflect_onto_chart_infinity(
+            fields[1], find_equilibria_sphere(fields[1])[0].position)[0])
+        singular = (with_singular_sphere_root(fs, rng.standard_normal(3)) for fs in fields[:40])
+        special += [fs for fs in singular if fs is not None][:8]
+    for k, fs in enumerate(special):
+        fields[17 + 151 * k] = fs
+    return fields
+
+
+def solve_stack(fields):
+    """Per sample of one batched solve: its flag reason, or the m, positions
+    and multipliers of its equilibria."""
+    solve = sphere_field._solve_circle if fields[0].n == 2 else sphere_field._solve_sphere
+    solved = solve(np.stack([fs.coeffs for fs in fields]), np.stack([fs.drift for fs in fields]))
+    bounds = np.cumsum(np.bincount(solved.sample, minlength=len(fields)))[:-1]
+    groups = zip(*(np.split(v, bounds) for v in (solved.m, solved.position, solved.lagrange)))
+    return [solved.flags[k].reason if k in solved.flags else group
+            for k, group in enumerate(groups)]
+
+
+def solve_alone(fs):
+    find = find_equilibria_circle if fs.n == 2 else find_equilibria_sphere
+    try:
+        eqs = find(fs)
+    except SampleFlaggedError as exc:
+        return exc.reason
+    return (np.array([e.m for e in eqs], dtype=int), np.array([e.position for e in eqs]),
+            np.array([e.lagrange for e in eqs]))
 
 
 class TestFieldModel:
@@ -182,15 +277,7 @@ class TestSphereSolver:
     def test_root_at_chart_infinity_uses_second_chart(self, monkeypatch):
         fs = sample_field(3, 0.25, np.random.default_rng(SEED + 13))
         eqs = find_equilibria_sphere(fs)
-        # Reflect the field so that its first equilibrium lands on the plane
-        # the first chart sends to infinity; equilibria and indices follow.
-        axis = sphere_field._CHARTS[0][:, 0]
-        x0 = eqs[0].position / math.sqrt(3.0)
-        target = x0 - (x0 @ axis) * axis
-        d = x0 - target / np.linalg.norm(target)
-        reflect = np.eye(3) - 2.0 * np.outer(d, d) / (d @ d)
-        coeffs = np.einsum("ia,ajk,bj,ck->ibc", reflect, fs.coeffs, reflect, reflect)
-        moved = FieldSample(n=3, coeffs=coeffs, drift=reflect @ fs.drift, sigma2=fs.sigma2)
+        moved, reflect = reflect_onto_chart_infinity(fs, eqs[0].position)
         with monkeypatch.context() as patch:
             patch.setattr(sphere_field, "_CHARTS", sphere_field._CHARTS[:1])
             with pytest.raises(SampleFlaggedError, match="uncertified"):
@@ -231,13 +318,6 @@ class TestOracleBatch:
         se = math.hypot(out.per_m[0].stderr, out.per_m[2].stderr)
         assert gap < 3.0 * se
 
-
-class TestLagrangeHistogram:
-    def test_total_mass(self):
-        eqs = find_equilibria_circle(sample_field(2, 0.25, np.random.default_rng(SEED + 9)))
-        hist = lagrange_histogram(eqs, bins=8)
-        assert sum(int(counts.sum()) for counts, _ in hist.values()) == len(eqs)
-
     def test_mirror_symmetry_between_extreme_indices(self):
         # Multipliers of index-0 equilibria mirror those of index-(n-1) under
         # negation; compare histograms on symmetric bins.
@@ -253,16 +333,27 @@ class TestLagrangeHistogram:
         cdf_gap = np.max(np.abs(np.cumsum(h0) / total - np.cumsum(h1) / total))
         assert cdf_gap < 4.0 * math.sqrt(1.0 / total)
 
-    def test_constant_field_values(self):
-        drift = np.array([0.3, -0.4, 1.2])
-        fs = FieldSample(n=3, coeffs=np.zeros((3, 3, 3)), drift=drift, sigma2=0.25)
-        eqs = find_equilibria_sphere(fs)
-        hist = lagrange_histogram(eqs, bins=4)
-        assert set(hist) == {0, 2}
 
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            lagrange_histogram([])
+class TestBatchIndependence:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batching_does_not_couple_samples(self, n):
+        # One batch, blocks of 7 and one sample at a time must agree sample
+        # by sample: the same flags, m and (to rounding) roots.
+        fields = seeded_with_degenerate(n, 2000, SEED + 20)
+        whole = solve_stack(fields)
+        blocks = [out for start in range(0, len(fields), 7)
+                  for out in solve_stack(fields[start:start + 7])]
+        alone = [solve_alone(fs) for fs in fields]
+        assert sum(isinstance(out, str) for out in whole) >= 5
+        for got in (blocks, alone):
+            assert len(got) == len(whole)
+            for want, have in zip(whole, got):
+                if isinstance(want, str) or isinstance(have, str):
+                    assert have == want
+                    continue
+                assert np.array_equal(have[0], want[0])
+                np.testing.assert_allclose(have[1], want[1], rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(have[2], want[2], rtol=0.0, atol=1e-12)
 
 
 class TestEstimatorCrossCheckSphere:
