@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .ellipse import (
     EllipseParams,
     real_marginal_density,
-    sample_uniform_ellipse,
     tail_mass,
     tail_quantile,
 )
@@ -22,7 +21,6 @@ from .errors import (
     EquicountError,
     QuadratureToleranceError,
     SampleFlaggedError,
-    SamplerError,
 )
 from .gee import log_eigenvalue_density, prob_k_real
 from .montecarlo import (
@@ -59,7 +57,6 @@ from .sphere_field import (
     Equilibrium,
     FieldSample,
     OracleCounts,
-    eval_field,
     field_model_params,
     find_equilibria_circle,
     find_equilibria_sphere,
@@ -85,7 +82,6 @@ __all__ = [
     "QuadratureToleranceError",
     "RateResult",
     "SampleFlaggedError",
-    "SamplerError",
     "TailRatePoint",
     "concentration_miss_fractions",
     "derive_seed",
@@ -93,7 +89,6 @@ __all__ = [
     "empirical_spectral_test",
     "empirical_tail_rate",
     "estimate_equilibria_count",
-    "eval_field",
     "field_model_params",
     "find_equilibria_circle",
     "find_equilibria_sphere",
@@ -110,7 +105,6 @@ __all__ = [
     "rate_lagrange_window",
     "real_marginal_density",
     "sample_field",
-    "sample_uniform_ellipse",
     "substream",
     "tail_mass",
     "tail_quantile",

@@ -6,8 +6,9 @@ when writing to a file. Every output embeds the resolved parameters (and the
 derived (tau, b) where applicable) so results are self-describing.
 
 Exit codes: 0 success, 2 parameter-constraint violation, 3 failed statistical
-gate (z >= 3 in verification commands, or too few contributing trials), 4 I/O
-error.
+gate (z >= 3 in verification commands), 4 I/O error, 5 insufficient support
+(too few contributing trials for the gate to mean anything), 6 numerical
+failure (an eigensolver or quadrature failure, or every field sample flagged).
 
 Seeding: the master seed (--seed, default from EQUICOUNT_SEED or 0) is mapped
 to a per-command stream, which estimators split into per-batch substreams by
@@ -75,6 +76,13 @@ _COMMAND_STREAMS = {
 }
 
 Z_GATE = 3.0
+
+#: Exit codes other than 0 (success); argparse's usage error also exits 2.
+EXIT_CONSTRAINT = 2
+EXIT_GATE_FAILED = 3
+EXIT_IO_ERROR = 4
+EXIT_NO_SUPPORT = 5
+EXIT_NUMERICAL = 6
 
 #: Thread-count variables of BLAS and OpenMP, recorded in the sidecar log.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -338,8 +346,8 @@ def _cmd_verify_uppingdim(args) -> int:
         print(f"equicount: verify-uppingdim gate lacks support: {report.lhs_support} lhs and "
               f"{report.rhs_support} rhs contributing trials, needs >= {MIN_HITS} on each side",
               file=sys.stderr)
-        return 3
-    return 0 if report.z_score < Z_GATE else 3
+        return EXIT_NO_SUPPORT
+    return 0 if report.z_score < Z_GATE else EXIT_GATE_FAILED
 
 
 def _cmd_oracle_compare(args) -> int:
@@ -402,7 +410,7 @@ def _cmd_oracle_compare(args) -> int:
         sidecar=[f"flagged {reason}: {k}" for reason, k in sorted(oracle.flag_reasons.items())],
         results=comparisons, total=total, flagged_rate=oracle.flagged_rate,
     )
-    return 0 if worst < Z_GATE else 3
+    return 0 if worst < Z_GATE else EXIT_GATE_FAILED
 
 
 def _cmd_ldp_tail(args) -> int:
@@ -581,13 +589,16 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConstraintError, DomainError) as exc:
         print(f"equicount: parameter constraint violated: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CONSTRAINT
     except OSError as exc:
         print(f"equicount: I/O error: {exc}", file=sys.stderr)
-        return 4
+        return EXIT_IO_ERROR
     except EquicountError as exc:
-        print(f"equicount: {exc}", file=sys.stderr)
-        return 2
+        # Past the parameter errors, the package raises only numerical
+        # failures: EigensolverError, QuadratureToleranceError and
+        # SampleFlaggedError (every field sample flagged).
+        print(f"equicount: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

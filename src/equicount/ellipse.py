@@ -1,9 +1,9 @@
 """The uniform law on the ellipse with semi-axes (1 + tau, 1 - tau).
 
-Sampling, the real-part marginal, its tail mass, and the quantile of the
-tail mass. The marginal of the uniform law over the vertical chord at
-abscissa s has density 2 sqrt((1+tau)^2 - s^2) / (pi (1+tau)^2): the chord
-height scaled by the ellipse area.
+The real-part marginal, its tail mass, and the quantile of the tail mass.
+The marginal of the uniform law over the vertical chord at abscissa s has
+density 2 sqrt((1+tau)^2 - s^2) / (pi (1+tau)^2): the chord height scaled
+by the ellipse area.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SamplerError
-
-_REJECTION_CAP = 10**6
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -39,40 +37,6 @@ class EllipseParams:
     @property
     def area(self) -> float:
         return math.pi * self.semi_axis_x * self.semi_axis_y
-
-
-def sample_uniform_ellipse(params: EllipseParams, rng: np.random.Generator, size: int | None = None):
-    """Uniform points on the ellipse by rejection from its bounding box.
-
-    Returns an (x, y) tuple when ``size`` is None, else an (size, 2) array.
-    Acceptance probability is pi/4; the attempt budget (10^6 per requested
-    point) only trips on a broken generator.
-    """
-    want = 1 if size is None else int(size)
-    if want < 1:
-        raise DomainError(f"size must be >= 1 when given, got {size}")
-    ax, ay = params.semi_axis_x, params.semi_axis_y
-    out = np.empty((want, 2))
-    filled = 0
-    attempts = 0
-    while filled < want:
-        chunk = max(16, int(1.4 * (want - filled)))
-        attempts += chunk
-        if attempts > _REJECTION_CAP * want:
-            raise SamplerError(
-                f"ellipse rejection sampler exceeded {attempts} attempts for {want} points"
-            )
-        xs = rng.uniform(-ax, ax, size=chunk)
-        ys = rng.uniform(-ay, ay, size=chunk)
-        keep = (xs / ax) ** 2 + (ys / ay) ** 2 <= 1.0
-        got = int(keep.sum())
-        take = min(got, want - filled)
-        out[filled : filled + take, 0] = xs[keep][:take]
-        out[filled : filled + take, 1] = ys[keep][:take]
-        filled += take
-    if size is None:
-        return float(out[0, 0]), float(out[0, 1])
-    return out
 
 
 def real_marginal_density(s, tau: float):

@@ -48,10 +48,6 @@ class EigensolverError(EquicountError):
         self.matrix = matrix
 
 
-class SamplerError(EquicountError):
-    """A rejection sampler exceeded its attempt budget (broken rng or bug)."""
-
-
 class SampleFlaggedError(EquicountError):
     """A brute-force field sample hit a degenerate configuration.
 

@@ -41,7 +41,8 @@ def _mixing_coefficients(tau: float) -> tuple[float, float]:
 _MIX_ENTRIES = 1 << 13
 
 
-def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """(size, n, n) stack of ensemble members; the batch workhorse.
 
     The values are those of a * G + b * G^T, computed by the same floating
@@ -50,11 +51,22 @@ def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int) 
     a == 1 and b == 0 (tau = 0, or tau too small to move a and b) G is drawn
     into it and scaled in place; otherwise G is drawn and mixed into it about
     _MIX_ENTRIES entries at a time (consecutive draws continue one stream).
+
+    Given ``out``, a C-contiguous float64 (rows, n, n) buffer with
+    rows >= size, the stack is drawn into ``out[:size]`` and that view is
+    returned; the bytes are those of a fresh stack.
     """
     if not -1.0 < tau <= 1.0:
         raise DomainError(f"sample_gee_entries requires -1 < tau <= 1, got tau={tau}")
     a, b = _mixing_coefficients(tau)
-    out = np.empty((size, n, n))
+    if out is None:
+        out = np.empty((size, n, n))
+    elif (out.dtype != np.float64 or out.shape[1:] != (n, n) or len(out) < size
+          or not out.flags.c_contiguous):
+        raise DomainError(f"out must be a C-contiguous float64 (>= {size}, {n}, {n}) buffer, "
+                          f"got {out.dtype} {out.shape}")
+    else:
+        out = out[:size]
     if a == 1.0 and b == 0.0:
         rng.standard_normal(out=out)
         out /= math.sqrt(n)

@@ -24,7 +24,11 @@ Everything is deterministic given (seed, n_trials, batch_size); see
 ``sampling`` for the substream contract. At n >= 4 the batches run
 concurrently on one thread per CPU of the affinity mask (``eig_workers``);
 the contract makes every result independent of that, and of each batch
-being sampled and eigensolved in 512 KiB chunks to bound memory.
+being sampled into one reused buffer of at most 512 KiB per worker and
+eigensolved chunk by chunk to bound memory. The functionals of one ranked
+eigenvalue (the estimator, the right side of the identity, tail rates,
+concentration) keep only that eigenvalue and its realness per trial
+(``_ranked_in_window``).
 """
 
 from __future__ import annotations
@@ -101,54 +105,77 @@ def eig_workers(n: int) -> int:
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, held=None):
-    """Ordered eigenvalues and realness of batch ``index``, sampled and
-    eigensolved chunk by chunk from ``substream(seed, index)``. The sampler
-    consumes the stream in order and the eigensolver works matrix by matrix,
-    so the values are bitwise those of the one whole-batch draw that a batch
-    of one chunk still makes; its stack goes to ``held[0]``, when given."""
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    if take <= chunk:
-        mats = sample_gee_entries(n, tau, substream(seed, index), take)
-        if held is not None:
-            held[0] = mats
-        return eigvals_batch(mats)
+def _sample_buffer(n: int, n_trials: int, batch_size: int) -> np.ndarray:
+    """A (rows, n, n) stack for ``_eig_batch`` to draw its chunks into: one
+    chunk of at most _CHUNK_ENTRIES entries, no more rows than a batch."""
+    rows = min(max(1, _CHUNK_ENTRIES // (n * n)), batch_size, n_trials)
+    return np.empty((rows, n, n))
+
+
+def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.ndarray,
+               rank0: int | None = None):
+    """Ordered eigenvalues and realness of batch ``index``, drawn from
+    ``substream(seed, index)`` into ``buf`` and eigensolved one chunk of
+    ``len(buf)`` matrices at a time; only the column of 0-based rank
+    ``rank0`` is kept, when given.
+
+    The sampler consumes the stream in order and the eigensolver works matrix
+    by matrix, so the values are bitwise those of one whole-batch draw. A
+    batch of one chunk hands over the eigensolver's arrays (or a view of
+    their column) as they are; the results never alias ``buf``.
+    """
     rng = substream(seed, index)
-    values = np.empty((take, n), dtype=complex)
-    is_real = np.empty((take, n), dtype=bool)
-    for start in range(0, take, chunk):
-        mats = sample_gee_entries(n, tau, rng, min(chunk, take - start))
+    shape = (take, n) if rank0 is None else (take,)
+    values = is_real = None
+    for start in range(0, take, len(buf)):
+        mats = sample_gee_entries(n, tau, rng, min(len(buf), take - start), out=buf)
+        part_values, part_real = eigvals_batch(mats)
+        if rank0 is not None:
+            part_values, part_real = part_values[:, rank0], part_real[:, rank0]
+        if len(mats) == take:
+            return part_values, part_real
+        if values is None:
+            values, is_real = np.empty(shape, dtype=complex), np.empty(shape, dtype=bool)
         part = slice(start, start + len(mats))
-        values[part], is_real[part] = eigvals_batch(mats)
+        values[part], is_real[part] = part_values, part_real
     return values, is_real
 
 
-def _eig_batches(n: int, tau: float, n_trials: int, seed: int, batch_size: int):
-    """Yield (ordered eigenvalues, realness) of each batch, in batch order.
+def _eig_batches(n: int, tau: float, n_trials: int, seed: int, batch_size: int,
+                 rank0: int | None = None):
+    """Yield (ordered eigenvalues, realness) of each batch, in batch order:
+    (batch, n) arrays, or the (batch,) column of 0-based rank ``rank0``.
 
     Batch j draws from ``substream(seed, j)``, so its values do not depend on
-    which thread computes it. A batch in flight holds its (batch, n) spectrum
-    and one chunk of at most 512 KiB. With more than one worker the batches
-    run on a thread pool (numpy's sampler and eigensolver release the GIL),
-    at most ``eig_workers(n)`` in flight; an error in a batch is raised here,
-    and closing the generator early waits for the batches in flight.
+    which thread computes it. Each worker draws its chunks into one reused
+    buffer of at most 512 KiB, so a batch in flight holds that buffer and its
+    result: the (batch, n) spectrum, or with ``rank0`` one value per trial.
+    With more than one worker the batches run on a thread pool (numpy's
+    sampler and eigensolver release the GIL), at most ``eig_workers(n)`` in
+    flight; an error in a batch is raised here, and closing the generator
+    early waits for the batches in flight. The buffers go with the generator.
     """
     batches = batch_sizes(n_trials, batch_size)
     workers = eig_workers(n)
     if workers == 1:
-        # Binding a one-chunk batch's stack (every batch at n <= 3) until the
-        # next batch is drawn keeps the heap warm: freeing it before the yield
-        # doubled the page faults of an n <= 3 run.
-        held = [None]
+        buf = _sample_buffer(n, n_trials, batch_size)
         for index, take in batches:
-            yield _eig_batch(n, tau, seed, index, take, held)
+            yield _eig_batch(n, tau, seed, index, take, buf, rank0)
         return
+    import threading
     from concurrent.futures import ThreadPoolExecutor
+
+    local = threading.local()
+
+    def run(index, take):
+        if not hasattr(local, "buf"):
+            local.buf = _sample_buffer(n, n_trials, batch_size)
+        return _eig_batch(n, tau, seed, index, take, local.buf, rank0)
 
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
         for index, take in batches:
-            pending.append(pool.submit(_eig_batch, n, tau, seed, index, take))
+            pending.append(pool.submit(run, index, take))
             if len(pending) == workers:
                 yield pending.popleft().result()
         while pending:
@@ -160,9 +187,9 @@ def _ranked_in_window(n: int, tau: float, rank0: int, scale: float, window: Inte
     """Yield, batch by batch, the real part of the eigenvalue at 0-based rank
     ``rank0`` and the mask of trials where it is real with scale * value in
     ``window``."""
-    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size):
-        lam = values[:, rank0].real
-        yield lam, is_real[:, rank0] & window.contains(scale * lam)
+    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size, rank0):
+        lam = values.real
+        yield lam, is_real & window.contains(scale * lam)
 
 
 def _count_contributions(

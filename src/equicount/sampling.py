@@ -7,10 +7,11 @@ split into fixed-size batches; batch ``j`` draws from the generator
 ``substream(seed, j)``, possibly in consecutive pieces that consume it in
 order, and reductions run in batch order. Results are therefore bit-identical
 for a given (seed, n_trials, batch_size) regardless of how batches are split
-or scheduled: ``montecarlo._eig_batches`` draws each in 512 KiB chunks,
-computes them concurrently at LAPACK sizes and hands them over in batch
-order. Derived seeds for independent sub-tasks (e.g. the two sides of an
-identity check) come from ``derive_seed``.
+or scheduled: ``montecarlo._eig_batches`` draws each in chunks into a
+reused buffer of at most 512 KiB per worker, computes them concurrently at
+LAPACK sizes and hands them over in batch order. Derived seeds for
+independent sub-tasks (e.g. the two sides of an identity check) come from
+``derive_seed``.
 """
 
 from __future__ import annotations

@@ -120,22 +120,6 @@ def _f_value(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,...j,...k->...i", coeffs, x, x)
 
 
-def eval_field(fs: FieldSample, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(tangent field, multiplier) at an on-sphere point.
-
-    The multiplier lam(x) = <x, f(x) + h>/n removes the radial component, so
-    <F(x), x> = 0 to rounding.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (fs.n,):
-        raise DomainError(f"x must have shape ({fs.n},)")
-    if abs(float(x @ x) - fs.n) > 1e-8 * fs.n:
-        raise DomainError(f"x is off the sphere: |x|^2 = {float(x @ x)}, expected {fs.n}")
-    ambient = _f_value(fs.coeffs, x) + fs.drift
-    lam = float(x @ ambient) / fs.n
-    return ambient - lam * x, lam
-
-
 # ---------------------------------------------------------------------------
 # Per-sample bookkeeping of a batched solve
 # ---------------------------------------------------------------------------

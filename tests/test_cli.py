@@ -1,6 +1,7 @@
 """CLI: exit codes, output formats, determinism, infinity serialization."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -8,12 +9,13 @@ import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equicount import cli, montecarlo, sphere_field
 from equicount.cli import main
 from equicount.errors import EigensolverError
+from equicount.rates import rate_lagrange_window
 
 
 def run_to_file(tmp_path, name, argv):
@@ -181,16 +183,17 @@ class TestSampleGeeCommand:
     def test_failure_after_first_batch_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         batch = montecarlo._eig_batch
 
-        def second_batch_fails(n, tau, seed, index, take, held=None):
+        def second_batch_fails(n, tau, seed, index, *rest):
             if index == 1:
                 raise EigensolverError("no convergence")
-            return batch(n, tau, seed, index, take, held)
+            return batch(n, tau, seed, index, *rest)
 
         monkeypatch.setattr(montecarlo, "_eig_batch", second_batch_fails)
         out = tmp_path / "s.csv"
         code = main(["sample-gee", "--n", "3", "--tau", "0.2", "--trials", "2100", "--seed", "3",
                      "--out", str(out)])
-        assert code == 2 and "no convergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 6 and "numerical failure" in err and "no convergence" in err
         assert not out.exists()
 
 
@@ -212,7 +215,7 @@ class TestVerifyCommand:
             ["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3", "--lo", "10",
              "--hi", "11", "--trials", "1000", "--seed", "1"],
         )
-        assert code == 3
+        assert code == 5
         assert json.loads(text)["z_score"] == 0.0
         err = capsys.readouterr().err
         assert "0 lhs and 0 rhs contributing trials" in err
@@ -250,6 +253,13 @@ class TestOracleCompareCommand:
         assert [line for line in log if line.startswith("flagged ")] == [
             f"flagged degenerate-root: {flagged}"]
         assert "flagged" not in out.read_text().replace("flagged_rate", "")
+
+    def test_every_sample_flagged_is_a_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(sphere_field, "_SLOPE_FLOOR", math.inf)
+        code = main(["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "20",
+                     "--trials", "1000", "--seed", "4"])
+        err = capsys.readouterr().err
+        assert code == 6 and "numerical failure" in err and "all-samples-flagged" in err
 
     @pytest.mark.parametrize("flag, value, bound", [
         ("--samples", "0", "--samples >= 2"),
@@ -411,4 +421,78 @@ def test_fuzzed_sizes_end_in_documented_exit_codes(argv):
             code = main(argv + ["--seed", "1"])
         except SystemExit as exc:  # argparse's usage error, e.g. "--trials 1.5"
             code = exc.code
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3, 4, 5, 6)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"JSON output holds the non-standard constant {name}")
+
+
+def _table_both_ways(argv):
+    """Run a table command in CSV and in JSON; return its exit code and the
+    two tables decoded back to typed rows, or None when it failed.
+
+    CSV cells go through float() where they parse (so "inf" and "-inf" come
+    back as infinities); JSON must be strict, with infinities tagged."""
+    tables = []
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--format", fmt])
+        if code != 0:
+            return code, None
+        if fmt == "csv":
+            header, *rows = csv.reader(out.getvalue().splitlines()[1:])
+            tables.append([{k: _csv_value(v) for k, v in zip(header, row)} for row in rows])
+        else:
+            record = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            tables.append([{k: float(v["kind"]) if isinstance(v, dict) else v
+                            for k, v in row.items()} for row in record["results"]])
+    return 0, tables
+
+
+def _csv_value(cell):
+    if cell == "":
+        return None
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+_WINDOW_ENDS = st.one_of(st.just(-math.inf), st.just(math.inf), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(b=st.floats(0.05, 0.95), tau=st.floats(-0.9, 0.9), dphi1=st.floats(0.5, 4.0),
+       m=st.integers(0, 3), c=_WINDOW_ENDS, d=_WINDOW_ENDS)
+@example(b=0.5, tau=0.2, dphi1=2.0, m=1, c=-math.inf, d=1.0)  # rate -inf
+@example(b=0.5, tau=0.2, dphi1=2.0, m=0, c=-math.inf, d=math.inf)
+def test_lagrange_rates_infinities_round_trip(b, tau, dphi1, m, c, d):
+    assume(c < d)
+    argv = ["lagrange-rates", f"--b={b!r}", f"--tau={tau!r}", f"--dphi1={dphi1!r}",
+            f"--m={m}", f"--c={c!r}", f"--d={d!r}"]
+    code, tables = _table_both_ways(argv)
+    assume(code == 0)
+    want = rate_lagrange_window(b, tau, dphi1, m, c, d)
+    for rows in tables:
+        assert rows == [{"b": b, "tau": tau, "gamma_or_c": c, "branch": want.branch,
+                         "rate": want.rate}]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(x=st.floats(1.5, 6.0), trials=st.integers(1, 40), seed=st.integers(0, 2**31))
+@example(x=5.0, trials=5, seed=1)  # no hits: rate_hat = inf
+def test_ldp_tail_infinities_round_trip(x, trials, seed):
+    argv = ["ldp-tail", "--n-list", "4,6", "--m", "1", f"--x={x!r}", "--tau", "0",
+            "--trials", str(trials), "--seed", str(seed)]
+    code, tables = _table_both_ways(argv)
+    assert code == 0
+    from_csv, from_json = tables
+    assert from_csv == from_json
+    for row in from_csv:
+        assert math.isinf(row["rate_hat"]) == (row["hits"] == 0)

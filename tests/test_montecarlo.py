@@ -18,6 +18,7 @@ from equicount.montecarlo import (
     _eig_batches,
     _gaussian_moments,
     _lift_integrals,
+    _ranked_in_window,
     concentration_miss_fractions,
     empirical_spectral_test,
     empirical_tail_rate,
@@ -65,6 +66,11 @@ def inline_eig_batches(n, tau, n_trials, seed, batch_size):
             for index, take in batch_sizes(n_trials, batch_size)]
 
 
+def bits(values):
+    """The bytes of a complex array, as integers that compare bit for bit."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
 class TestEigBatches:
     """The batch driver: a thread pool at LAPACK sizes, forced here to three
     workers so the pool runs, and oversubscribed, on any machine."""
@@ -86,16 +92,21 @@ class TestEigBatches:
         *((100, tau, n_trials) for tau in (0.0, 0.3) for n_trials in (1, 7, 13)),
     ])
     def test_matches_inline_loop_bitwise(self, monkeypatch, n, tau, n_trials):
-        """On the pool and on the one-worker path; batches of n >= 40 span
-        several chunks (40 matrices at n = 40, 6 at n = 100)."""
+        """On the pool and on the one-worker path, whole spectra and the
+        column of one rank; batches of n >= 40 span several chunks (40
+        matrices at n = 40, 6 at n = 100)."""
         want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
         for workers in (3, 1):
             monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
-            got = list(_eig_batches(n, tau, n_trials, SEED, 4096))
-            assert len(got) == len(want)
-            for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
-                assert np.array_equal(values.view(np.uint64), values_ref.view(np.uint64))
-                assert np.array_equal(is_real, is_real_ref)
+            for rank0 in (None, 0, n // 2, n - 1):
+                got = list(_eig_batches(n, tau, n_trials, SEED, 4096, rank0))
+                assert len(got) == len(want)
+                for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
+                    if rank0 is not None:
+                        values_ref, is_real_ref = values_ref[:, rank0], is_real_ref[:, rank0]
+                    assert values.shape == values_ref.shape
+                    assert np.array_equal(bits(values), bits(values_ref))
+                    assert np.array_equal(is_real, is_real_ref)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_batch_stack(self, monkeypatch, workers):
@@ -110,6 +121,21 @@ class TestEigBatches:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ranked_memory_is_buffers_and_one_column(self, monkeypatch, workers):
+        """A ranked batch in flight holds one reused 512 KiB sample buffer per
+        worker and one value per trial; whole (4096, 40) spectra would be
+        2.5 MiB each."""
+        monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
+        tracemalloc.start()
+        try:
+            for _ in _ranked_in_window(40, 0.0, 0, 1.0, FULL_LINE, 8192, SEED, 4096):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
         error = EigensolverError("injected failure")
