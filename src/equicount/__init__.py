@@ -8,12 +8,7 @@ by direct equilibrium counting on low-dimensional spheres.
 
 __version__ = "0.1.0"
 
-from .ellipse import (
-    EllipseParams,
-    real_marginal_density,
-    tail_mass,
-    tail_quantile,
-)
+from .ellipse import real_marginal_density, tail_mass, tail_quantile
 from .errors import (
     ConstraintError,
     DomainError,
@@ -70,7 +65,6 @@ __all__ = [
     "DimensionLiftReport",
     "DomainError",
     "EigensolverError",
-    "EllipseParams",
     "Equilibrium",
     "EquicountError",
     "FieldSample",

@@ -169,14 +169,15 @@ def _write_output(out_path: str | None, payload, sidecar=()) -> None:
 
 
 def _csv_chunks(config: dict, header: list[str], batches):
-    """CSV text in chunks: one per batch of text rows, the first carrying the
-    config comment and the header."""
+    """CSV text in chunks: one per batch of typed rows, the first carrying the
+    config comment and the header. Floats (numpy's too) go through the
+    infinity-aware formatter, None is an empty cell, anything else its str()."""
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for rows in batches:
-        writer.writerows(rows)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
         yield buf.getvalue()
         buf.seek(0)
         buf.truncate()
@@ -195,19 +196,11 @@ def _emit_record(args, op: str, params: dict, sidecar=(), **fields) -> None:
 
 def _emit_table(args, command: str, config: dict, header: list[str], batches) -> None:
     """Write batches of typed rows as CSV (default), one batch at a time, or
-    as the JSON record schema, which holds every row in memory.
-
-    Row cells are python values; floats go through the infinity-aware
-    formatter for CSV and through the tagged encoding for JSON.
+    as the JSON record schema, which holds every row in memory; infinite
+    floats take the tagged encoding in JSON.
     """
-    fmt = getattr(args, "format", "csv")
-    if fmt == "csv":
-        text_batches = (
-            [[_fmt(v) if isinstance(v, float) else ("" if v is None else str(v)) for v in row]
-             for row in rows]
-            for rows in batches
-        )
-        _write_output(args.out, _csv_chunks(config, header, text_batches))
+    if getattr(args, "format", "csv") == "csv":
+        _write_output(args.out, _csv_chunks(config, header, batches))
         return
     results = [dict(zip(header, map(_json_cell, row))) for rows in batches for row in rows]
     _emit_record(args, command, config, results=results)
@@ -309,15 +302,11 @@ def _cmd_estimate(args) -> int:
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["estimate"])
     window = IntervalB(_parse_extended(args.lo), _parse_extended(args.hi))
-    est = estimate_equilibria_count(
-        args.n, args.m, p, window, n_trials=args.trials, seed=seed,
-        index_variant=args.index_variant,
-    )
+    est = estimate_equilibria_count(args.n, args.m, p, window, n_trials=args.trials, seed=seed)
     params = {
         "n": args.n, "m": args.m, "phi1": args.phi1, "dphi1": args.dphi1,
         "phi2": args.phi2, "sigma2": args.sigma2, "lo": _fmt(window.lo),
-        "hi": _fmt(window.hi), "trials": args.trials,
-        "index_variant": args.index_variant, "tau": tau, "b": b,
+        "hi": _fmt(window.hi), "trials": args.trials, "tau": tau, "b": b,
     }
     _emit_record(args, "estimate", params, mean=est.mean, stderr=est.stderr, n_trials=est.n_trials)
     return 0
@@ -368,17 +357,11 @@ def _cmd_oracle_compare(args) -> int:
         }
         header = ["sample_index", "eq_index", "m", "lagrange"]
         header += [f"x{i}" for i in range(args.n)] + ["residual"]
-        rows = []
-        eq_index = 0
-        last_sample = None
-        for sample_index, eq in collected:
-            eq_index = eq_index + 1 if sample_index == last_sample else 0
-            last_sample = sample_index
-            rows.append(
-                [str(sample_index), str(eq_index), str(eq.m), _fmt(eq.lagrange)]
-                + [_fmt(x) for x in eq.position]
-                + [_fmt(eq.residual)]
-            )
+        rows = [
+            [sample_index, eq_index, eq.m, eq.lagrange, *eq.position, eq.residual]
+            for sample_index, group in itertools.groupby(collected, key=lambda item: item[0])
+            for eq_index, (_, eq) in enumerate(group)
+        ]
         _write_output(args.dump_equilibria, _csv_chunks(config, header, [rows]))
     comparisons = []
     worst = 0.0
@@ -514,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma2", type=float, required=True)
     sp.add_argument("--lo", default="-inf")
     sp.add_argument("--hi", default="inf")
-    sp.add_argument("--index-variant", choices=("m+1", "m"), default="m+1")
     common(sp)
     sp.set_defaults(func=_cmd_estimate)
 

@@ -9,34 +9,15 @@ by the ellipse area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-
-@dataclass(frozen=True)
-class EllipseParams:
-    """Shape parameter of the ellipse; semi-axes are (1 + tau, 1 - tau)."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not -1.0 < self.tau < 1.0:
-            raise DomainError(f"EllipseParams requires -1 < tau < 1, got {self.tau}")
-
-    @property
-    def semi_axis_x(self) -> float:
-        return 1.0 + self.tau
-
-    @property
-    def semi_axis_y(self) -> float:
-        return 1.0 - self.tau
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.semi_axis_x * self.semi_axis_y
+#: Taylor coefficients of (phi - sin phi) / phi^3 in powers of phi^2, highest
+#: first. Below phi = 1, where phi - sin phi cancels, their truncation error
+#: is under 1e-16 relative.
+_PHI_MINUS_SIN = [(-1) ** k / math.factorial(2 * k + 3) for k in reversed(range(8))]
 
 
 def real_marginal_density(s, tau: float):
@@ -60,23 +41,26 @@ def real_marginal_density(s, tau: float):
 def tail_mass(s, tau: float):
     """Mass of {Re z >= s} under the uniform law on the ellipse.
 
-    Closed form on |s| <= 1+tau:
+    With a = 1 + tau, the part of the ellipse right of s is the image of a
+    circular segment of central angle phi = 4 arctan(sqrt((a - s) / (a + s))),
+    so on |s| <= a the mass is
 
-        1/2 - [ s sqrt((1+tau)^2 - s^2) / (pi (1+tau)^2) + arcsin(s/(1+tau)) / pi ]
+        (phi - sin phi) / (2 pi),
 
-    clamped to 1 below the support and 0 above it. Strictly decreasing on the
-    support; accepts scalars or arrays.
+    1 below the support and 0 above it. Near either edge a - s and a + s are
+    exact, and below phi = 1 the series of phi - sin phi replaces the
+    difference, so the mass keeps its relative accuracy however small it is.
+    Strictly decreasing on the support; accepts scalars or arrays.
     """
     if not -1.0 < tau < 1.0:
         raise DomainError(f"tail_mass requires -1 < tau < 1, got tau={tau}")
     a = 1.0 + tau
     s_arr = np.asarray(s, dtype=float)
     clipped = np.clip(s_arr, -a, a)
-    mass = 0.5 - (
-        clipped * np.sqrt(np.maximum(a * a - clipped**2, 0.0)) / (math.pi * a * a)
-        + np.arcsin(clipped / a) / math.pi
-    )
-    mass = np.where(s_arr <= -a, 1.0, np.where(s_arr >= a, 0.0, mass))
+    phi = 4.0 * np.arctan2(np.sqrt(a - clipped), np.sqrt(a + clipped))
+    segment = np.where(phi < 1.0, phi**3 * np.polyval(_PHI_MINUS_SIN, phi * phi),
+                       phi - np.sin(phi))
+    mass = segment / (2.0 * math.pi)
     if np.isscalar(s) or s_arr.ndim == 0:
         return float(mass)
     return mass

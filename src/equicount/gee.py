@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, EigensolverError
-from .sampling import DEFAULT_BATCH_SIZE, MCEstimate
+from .sampling import MCEstimate
 from .special_functions import log_erfc, log_norm_constant
 
 
@@ -300,7 +300,6 @@ def prob_k_real(
     tau: float,
     n_trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[MCEstimate]:
     """Empirical distribution of the number of real eigenvalues.
 
@@ -312,7 +311,7 @@ def prob_k_real(
     from .montecarlo import _eig_batches  # montecarlo imports this module
 
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, is_real in _eig_batches(n, tau, n_trials, seed, batch_size):
+    for _, is_real in _eig_batches(n, tau, n_trials, seed):
         counts += np.bincount(is_real.sum(axis=1), minlength=n + 1)
     out = []
     for k in range(n + 1):

@@ -11,8 +11,7 @@ where L is the eigenvalue of rank m+1 (largest real parts first) of an
 n x n ensemble matrix. The rank is m+1, not m: the identity is assembled
 from the dimension-lift lemma whose right-hand side carries rank m+1, and
 the brute-force sphere count adjudicates the same way (see the acceptance
-suite). The legacy rank-m variant stays available behind ``index_variant``
-for the discrepancy report.
+suite).
 
 Also here: the dimension-lift identity checker (Monte Carlo on both sides,
 each left-side trial integrated over the shift in closed form), empirical
@@ -20,15 +19,14 @@ tail-rate estimation for the large-deviation law, the elliptic-law
 Kolmogorov-Smirnov check, and the concentration proxy for the bulk-ranked
 eigenvalue.
 
-Everything is deterministic given (seed, n_trials, batch_size); see
-``sampling`` for the substream contract. At n >= 4 the batches run
-concurrently on one thread per CPU of the affinity mask (``eig_workers``);
-the contract makes every result independent of that, and of each batch
-being sampled into one reused buffer of at most 512 KiB per worker and
-eigensolved chunk by chunk to bound memory. The functionals of one ranked
-eigenvalue (the estimator, the right side of the identity, tail rates,
-concentration) keep only that eigenvalue and its realness per trial
-(``_ranked_in_window``).
+Everything is deterministic given (seed, n_trials); see ``sampling`` for
+the substream contract. At n >= 4 the batches run concurrently on one
+thread per CPU of the affinity mask (``eig_workers``); the contract makes
+every result independent of that, and of each batch being sampled into one
+reused buffer of at most 512 KiB per worker and eigensolved chunk by chunk
+to bound memory. The functionals of one ranked eigenvalue (the estimator,
+the right side of the identity, tail rates, concentration) keep only that
+eigenvalue and its realness per trial (``_ranked_in_window``).
 """
 
 from __future__ import annotations
@@ -141,8 +139,8 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
     return values, is_real
 
 
-def _eig_batches(n: int, tau: float, n_trials: int, seed: int, batch_size: int,
-                 rank0: int | None = None):
+def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
+                 batch_size: int = DEFAULT_BATCH_SIZE, rank0: int | None = None):
     """Yield (ordered eigenvalues, realness) of each batch, in batch order:
     (batch, n) arrays, or the (batch,) column of 0-based rank ``rank0``.
 
@@ -183,7 +181,7 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int, batch_size: int,
 
 
 def _ranked_in_window(n: int, tau: float, rank0: int, scale: float, window: IntervalB,
-                      n_trials: int, seed: int, batch_size: int):
+                      n_trials: int, seed: int, batch_size: int = DEFAULT_BATCH_SIZE):
     """Yield, batch by batch, the real part of the eigenvalue at 0-based rank
     ``rank0`` and the mask of trials where it is real with scale * value in
     ``window``."""
@@ -199,21 +197,12 @@ def _count_contributions(
     window: IntervalB,
     n_trials: int,
     seed: int,
-    index_variant: str,
-    batch_size: int,
 ):
-    """Yield per-trial contributions to E N_m(window), batch by batch."""
+    """Yield per-trial contributions to E N_m(window), batch by batch; they
+    read the rank-(m+1) eigenvalue, 0-based index m."""
     tau, b = derive_tau_b(p)
     if not 0 <= m <= n - 1:
         raise DomainError(f"requires 0 <= m <= n-1, got m={m}, n={n}")
-    if index_variant == "m+1":
-        rank0 = m  # 0-based index of the rank-(m+1) eigenvalue
-    elif index_variant == "m":
-        if m < 1:
-            raise DomainError("index_variant='m' needs m >= 1")
-        rank0 = m - 1
-    else:
-        raise DomainError(f"unknown index_variant {index_variant!r}")
     # Prefactor and Gaussian taper combined per trial in log domain: b^(1-n)
     # alone overflows long before the product does.
     log_pref = (
@@ -223,7 +212,7 @@ def _count_contributions(
     )
     taper = n * (1.0 - b * b) / (2.0 * (b * b + tau) * (1.0 + tau))
     scale = math.sqrt(p.dphi1)
-    for lam, live in _ranked_in_window(n, tau, rank0, scale, window, n_trials, seed, batch_size):
+    for lam, live in _ranked_in_window(n, tau, m, scale, window, n_trials, seed):
         yield np.where(live, np.exp(log_pref - taper * lam * lam), 0.0)
 
 
@@ -234,13 +223,11 @@ def estimate_equilibria_count(
     window: IntervalB = FULL_LINE,
     n_trials: int = 100_000,
     seed: int = 0,
-    index_variant: str = "m+1",
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> MCEstimate:
     """Mean number of equilibria with m unstable directions and multiplier in
     ``window``, on the sphere of dimension n, by ensemble Monte Carlo."""
     moments = RunningMoments()
-    for contrib in _count_contributions(n, m, p, window, n_trials, seed, index_variant, batch_size):
+    for contrib in _count_contributions(n, m, p, window, n_trials, seed):
         moments.add(contrib)
     return moments.estimate(seed)
 
@@ -344,7 +331,6 @@ def verify_dimension_lift(
     window: IntervalB,
     n_trials: int = 100_000,
     seed: int = 0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> DimensionLiftReport:
     """Estimate both sides of the exact identity
 
@@ -376,7 +362,7 @@ def verify_dimension_lift(
 
     lhs_moments = RunningMoments()
     lhs_support = 0
-    for values, is_real in _eig_batches(n - 1, tau, n_trials, seed_lhs, batch_size):
+    for values, is_real in _eig_batches(n - 1, tau, n_trials, seed_lhs):
         y, live = _lift_integrals(values, is_real, m, c, t_lo, t_hi)
         lhs_moments.add(y)
         lhs_support += int(live.sum())
@@ -393,7 +379,7 @@ def verify_dimension_lift(
     rhs_moments = RunningMoments()
     rhs_support = 0
     # Rank m+1 is 0-based index m.
-    for _, live in _ranked_in_window(n, tau, m, root_n, window, n_trials, seed_rhs, batch_size):
+    for _, live in _ranked_in_window(n, tau, m, root_n, window, n_trials, seed_rhs):
         rhs_moments.add(np.where(live, const, 0.0))
         rhs_support += int(live.sum())
     rhs = rhs_moments.estimate(seed_rhs)
@@ -423,7 +409,6 @@ def empirical_tail_rate(
     tau: float,
     n_trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[TailRatePoint]:
     """-(1/n) log P(rank-m eigenvalue real and >= x) across matrix sizes.
 
@@ -442,8 +427,7 @@ def empirical_tail_rate(
     tail = IntervalB(x, math.inf)
     out = []
     for i, n in enumerate(n_list):
-        batches = _ranked_in_window(n, tau, m - 1, 1.0, tail, n_trials, derive_seed(seed, i),
-                                    batch_size)
+        batches = _ranked_in_window(n, tau, m - 1, 1.0, tail, n_trials, derive_seed(seed, i))
         hits = sum(int(live.sum()) for _, live in batches)
         rate_hat = math.inf if hits == 0 else -math.log(hits / n_trials) / n
         out.append(TailRatePoint(
@@ -458,7 +442,6 @@ def empirical_spectral_test(
     tau: float,
     n_trials: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> float:
     """Sup distance between the pooled real-part empirical CDF and the
     ellipse-law marginal CDF (the finite-n elliptic-law check)."""
@@ -468,7 +451,7 @@ def empirical_spectral_test(
         raise DomainError(f"requires -1 < tau < 1, got tau={tau}")
     pooled = np.empty(n * n_trials)
     done = 0
-    for values, _ in _eig_batches(n, tau, n_trials, seed, batch_size):
+    for values, _ in _eig_batches(n, tau, n_trials, seed):
         flat = values.real.ravel()
         pooled[done : done + flat.size] = flat
         done += flat.size
@@ -487,7 +470,6 @@ def concentration_miss_fractions(
     n_trials: int,
     epsilon: float,
     seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[tuple[int, float]]:
     """Fraction of trials where the rank-ceil(gamma n) real part leaves
     (s_gamma - eps, s_gamma + eps); concentration makes this decay in n."""
@@ -501,8 +483,7 @@ def concentration_miss_fractions(
         rank0 = math.ceil(gamma * n) - 1
         if not 0 <= rank0 < n:
             raise DomainError(f"ceil(gamma n) out of range for n={n}")
-        batches = _ranked_in_window(n, tau, rank0, 1.0, FULL_LINE, n_trials,
-                                    derive_seed(seed, i), batch_size)
+        batches = _ranked_in_window(n, tau, rank0, 1.0, FULL_LINE, n_trials, derive_seed(seed, i))
         missed = sum(int(((re <= s - epsilon) | (re >= s + epsilon)).sum()) for re, _ in batches)
         out.append((n, missed / n_trials))
     return out

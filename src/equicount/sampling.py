@@ -3,13 +3,14 @@
 Seeding contract
 ----------------
 A single nonnegative 64-bit ``seed`` determines every random draw. Work is
-split into fixed-size batches; batch ``j`` draws from the generator
-``substream(seed, j)``, possibly in consecutive pieces that consume it in
-order, and reductions run in batch order. Results are therefore bit-identical
-for a given (seed, n_trials, batch_size) regardless of how batches are split
-or scheduled: ``montecarlo._eig_batches`` draws each in chunks into a
-reused buffer of at most 512 KiB per worker, computes them concurrently at
-LAPACK sizes and hands them over in batch order. Derived seeds for
+split into batches of ``DEFAULT_BATCH_SIZE`` trials; batch ``j`` draws from
+the generator ``substream(seed, j)``, possibly in consecutive pieces that
+consume it in order, and reductions run in batch order. The public
+estimators' results are therefore bit-identical for a given
+(seed, n_trials) regardless of how batches are split or scheduled:
+``montecarlo._eig_batches`` draws each in chunks into a reused buffer of at
+most 512 KiB per worker, computes them concurrently at LAPACK sizes and
+hands them over in batch order. Derived seeds for
 independent sub-tasks (e.g. the two sides of an identity check) come from
 ``derive_seed``.
 """
@@ -38,7 +39,7 @@ def derive_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def batch_sizes(n_trials: int, batch_size: int = DEFAULT_BATCH_SIZE):
+def batch_sizes(n_trials: int, batch_size: int):
     """Yield (batch_index, batch_length) covering ``n_trials`` trials."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")

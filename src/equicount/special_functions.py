@@ -108,17 +108,21 @@ def rate_function(x: float, tau: float) -> float:
 # Adaptive composite Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
+#: Nodes of a panel's coarse Gauss-Legendre rule; the fine rule has twice as many.
+_GL_ORDER = 16
+
+
 @functools.cache
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_values(f, lo: float, hi: float, order: int) -> tuple[float, float]:
-    """(value, error indicator) for one panel via nested GL(order)/GL(2*order)."""
+def _panel_values(f, lo: float, hi: float) -> tuple[float, float]:
+    """(value, error indicator) for one panel via nested GL(16)/GL(32)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    xs1, ws1 = _gl_rule(order)
-    xs2, ws2 = _gl_rule(2 * order)
+    xs1, ws1 = _gl_rule(_GL_ORDER)
+    xs2, ws2 = _gl_rule(2 * _GL_ORDER)
     coarse = half * float(np.dot(ws1, f(mid + half * xs1)))
     fine = half * float(np.dot(ws2, f(mid + half * xs2)))
     return fine, abs(fine - coarse)
@@ -132,7 +136,6 @@ def adaptive_quadrature(
     rel_tol: float,
     max_panels: int,
     breakpoints: tuple[float, ...] = (),
-    order: int = 16,
 ) -> tuple[float, float, bool]:
     """Error-sorted adaptive composite Gauss-Legendre on [lo, hi].
 
@@ -148,7 +151,7 @@ def adaptive_quadrature(
     heap = []  # (-err, tiebreak, lo, hi, value)
     serial = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        value, err = _panel_values(f, a, b, order)
+        value, err = _panel_values(f, a, b)
         heap.append((-err, serial, a, b, value))
         serial += 1
     heapq.heapify(heap)
@@ -164,7 +167,7 @@ def adaptive_quadrature(
         if mid <= a or mid >= b:  # panel narrower than machine spacing
             return total, total_err, False
         for lo_i, hi_i in ((a, mid), (mid, b)):
-            value, err = _panel_values(f, lo_i, hi_i, order)
+            value, err = _panel_values(f, lo_i, hi_i)
             heapq.heappush(heap, (-err, serial, lo_i, hi_i, value))
             serial += 1
 

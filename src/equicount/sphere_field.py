@@ -65,6 +65,10 @@ _JACOBIAN_EIG_FLOOR = 1e-10
 _SLOPE_FLOOR = 1e-8
 #: Newton steps allowed to polish a root that the algebra located to rounding.
 _POLISH_STEPS = 8
+#: A circle sample's polish stops once every Newton step is below this (radians).
+_CIRCLE_STEP_TOL = 1e-12
+#: A sphere sample's polish stops once every root has |F| at most this.
+_SPHERE_RESIDUAL_TOL = 1e-11
 #: Samples that ``oracle_mean_counts`` solves in one batched pass. A block
 #: costs about 1.3 ms of call overhead at n = 3; at 64 samples its largest
 #: temporary, the stack of Sylvester matrices (6.4 KB a sample), stays near the
@@ -210,11 +214,11 @@ def _circle_g(coeffs: np.ndarray, drift: np.ndarray, theta: np.ndarray) -> np.nd
     return -f[..., 0] * s + f[..., 1] * c
 
 
-def _solve_circle(coeffs: np.ndarray, drift: np.ndarray, refine_tol: float = 1e-12) -> _Solved:
+def _solve_circle(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
     """Equilibria of a stack of circle fields, each sorted by angle in [0, 2 pi).
 
     Roots are polished by Newton on g(theta) = c_0 + 2 Re sum_j c_j e^{i j theta}
-    until every step of the sample is below ``refine_tol``. Zeros of a smooth
+    until every step of the sample is below ``_CIRCLE_STEP_TOL``. Zeros of a smooth
     function on the circle alternate in slope sign, so count(m=0) = count(m=1)
     must hold.
     """
@@ -262,7 +266,7 @@ def _solve_circle(coeffs: np.ndarray, drift: np.ndarray, refine_tol: float = 1e-
         step = (c[sid[rows], 0].real + 2.0 * terms.sum(axis=1).real) / row_slope
         theta[rows] -= step
         slope[rows] = row_slope
-        polishing &= flags.alive & _any_per_sample(~(np.abs(step) <= refine_tol), sid[rows], size)
+        polishing &= flags.alive & _any_per_sample(~(np.abs(step) <= _CIRCLE_STEP_TOL), sid[rows], size)
     kept = flags.alive[sid]
     sid, theta, slope = sid[kept], theta[kept] % (2.0 * math.pi), slope[kept]
     order = np.argsort(theta)
@@ -281,12 +285,12 @@ def _solve_circle(coeffs: np.ndarray, drift: np.ndarray, refine_tol: float = 1e-
     return _Solved(sid, xs, ms, lams, residuals, flags.errors)
 
 
-def find_equilibria_circle(fs: FieldSample, refine_tol: float = 1e-12) -> list[Equilibrium]:
+def find_equilibria_circle(fs: FieldSample) -> list[Equilibrium]:
     """All equilibria on the circle, sorted by angle in [0, 2 pi): a batch of
     one; raises SampleFlaggedError for a flagged sample."""
     if fs.n != 2:
         raise DomainError("find_equilibria_circle requires n = 2")
-    return _solve_circle(fs.coeffs[None], fs.drift[None], refine_tol).single()
+    return _solve_circle(fs.coeffs[None], fs.drift[None]).single()
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +423,12 @@ def _tangential_system(coeffs: np.ndarray, drift: np.ndarray, xs: np.ndarray):
     return ambient - lam[:, None] * xs, lam, frames, reduced
 
 
-def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray, newton_tol: float = 1e-11) -> _Solved:
+def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
     """Equilibria of a stack of 2-sphere fields, from each certified complex
     root set.
 
     Roots are polished by tangential Newton until every root of the sample
-    has |F| <= ``newton_tol``. The index sum must also meet the Euler
+    has |F| <= ``_SPHERE_RESIDUAL_TOL``. The index sum must also meet the Euler
     characteristic, sum (-1)^m = 2; a sample that fails any check is flagged
     rather than returned as a silently short list.
     """
@@ -473,7 +477,7 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray, newton_tol: float = 1e-
         rows = np.flatnonzero(polishing[sid])
         tangent, row_lam, frames, row_jac = _tangential_system(coeffs[rows], drift[rows], xs[rows])
         norms = np.linalg.norm(tangent, axis=1)
-        done = polishing & ~_any_per_sample(~(norms <= newton_tol), sid[rows], size)
+        done = polishing & ~_any_per_sample(~(norms <= _SPHERE_RESIDUAL_TOL), sid[rows], size)
         polishing &= ~done
         settled = done[sid[rows]]
         lam[rows[settled]], residual[rows[settled]] = row_lam[settled], norms[settled]
@@ -484,7 +488,7 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray, newton_tol: float = 1e-
         moved = xs[rows] + (frames @ step)[..., 0]
         xs[rows] = math.sqrt(3.0) * moved / np.linalg.norm(moved, axis=1)[:, None]
     flags.add(np.flatnonzero(polishing), "uncertified",
-              f"Newton polish stalled above {newton_tol}")
+              f"Newton polish stalled above {_SPHERE_RESIDUAL_TOL}")
     kept = flags.alive[sid]
     sid, xs, lam, residual, jac = sid[kept], xs[kept], lam[kept], residual[kept], jac[kept]
     # m from the 2x2 tangential Jacobians.
@@ -501,12 +505,12 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray, newton_tol: float = 1e-
     return _Solved(sid[kept], xs[kept], ms[kept], lam[kept], residual[kept], flags.errors)
 
 
-def find_equilibria_sphere(fs: FieldSample, newton_tol: float = 1e-11) -> list[Equilibrium]:
+def find_equilibria_sphere(fs: FieldSample) -> list[Equilibrium]:
     """All equilibria on the 2-sphere: a batch of one; raises
     SampleFlaggedError for a flagged sample."""
     if fs.n != 3:
         raise DomainError("find_equilibria_sphere requires n = 3")
-    return _solve_sphere(fs.coeffs[None], fs.drift[None], newton_tol).single()
+    return _solve_sphere(fs.coeffs[None], fs.drift[None]).single()
 
 
 @lru_cache(maxsize=16)

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -142,6 +144,19 @@ class TestEstimateCommand:
             assert any(line.startswith("peak resident memory MiB: ") for line in log)
             assert any(line.startswith("cpu seconds: ") for line in log)
 
+    def test_numbers_pinned(self, tmp_path):
+        # Recorded while the command still took --index-variant (default m+1)
+        # and wrote it into params; the numbers must not move.
+        code, text = run_to_file(tmp_path, "e.json", [
+            "estimate", "--n", "3", "--m", "1", "--phi1", "1", "--dphi1", "2", "--phi2", "0",
+            "--sigma2", "0.25", "--trials", "20000", "--seed", "1",
+        ])
+        assert code == 0
+        record = json.loads(text)
+        assert "index_variant" not in record["params"]
+        assert (record["mean"], record["stderr"], record["n_trials"]) == (
+            1.2468963075758928, 0.012256077235647998, 20000)
+
     def test_bad_model_params_exit_2(self):
         code = main([
             "estimate", "--n", "2", "--m", "0", "--phi1", "1", "--dphi1", "2",
@@ -219,6 +234,14 @@ class TestVerifyCommand:
         assert json.loads(text)["z_score"] == 0.0
         err = capsys.readouterr().err
         assert "0 lhs and 0 rhs contributing trials" in err
+
+    def test_bytes_pinned(self, tmp_path):
+        # Digest recorded while verify_dimension_lift took a batch_size.
+        out = tmp_path / "v.json"
+        assert main(["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3",
+                     "--trials", "20000", "--seed", "7", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7d22e4edcfe960d88438668564aa7c09cc21e1390c5413a0b310927e0c2198c3")
 
 
 class TestOracleCompareCommand:
@@ -301,6 +324,15 @@ class TestLdpTailCommand:
         assert len(rows) == 2
         assert rows[0].split(",")[0] == "6"
 
+    def test_pooled_bytes_pinned(self, tmp_path):
+        # Three 4096-trial batches per size at n >= 4 go through the thread
+        # pool; digest recorded while every estimator took a batch_size.
+        out = tmp_path / "l.csv"
+        assert main(["ldp-tail", "--n-list", "5,8", "--x", "1.2", "--tau", "0",
+                     "--trials", "9000", "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7b138ee67fbe69fafad4bf23b11a2d977fb75e6e339e8d58cbeb40a00ee4057d")
+
 
 @pytest.mark.parametrize("detached, attached", [
     (["lagrange-rates", "--b", "0.2", "--tau", "-1e-05", "--dphi1", "2", "--m", "1",
@@ -381,13 +413,32 @@ def test_json_record_top_level_keys(tmp_path, argv, keys):
      "m <= n"),
     (["sample-gee", "--n", "0", "--tau", "0.2", "--trials", "4"], "--n >= 1"),
     (["spectral-test", "--n", "60", "--tau", "1.0", "--trials", "2"], "-1 < tau < 1"),
+    (ESTIMATE + ["--trials", "10", "--index-variant", "m"],
+     "unrecognized arguments: --index-variant m"),
 ], ids=["verify-trials-1", "estimate-trials-0", "ldp-trials-0", "ldp-n-list-junk",
-        "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1"])
+        "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1", "estimate-index-variant"])
 def test_bad_arguments_rejected_before_work(monkeypatch, capsys, argv, bound):
     _refuse_sampling(monkeypatch)
-    assert main(argv + ["--seed", "4"]) == 2
+    try:
+        code = main(argv + ["--seed", "4"])
+        kind = "parameter constraint violated"
+    except SystemExit as exc:  # argparse's usage error
+        code, kind = exc.code, "usage: equicount"
+    assert code == 2
     err = capsys.readouterr().err
-    assert "constraint" in err and bound in err
+    assert kind in err and bound in err
+
+
+def test_readme_commands_parse():
+    # Every line of the README's command block must parse as written, so a
+    # documented flag that the CLI drops fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("equicount ")]
+    parser = cli._build_parser()
+    for argv in lines:
+        parser.parse_args(cli._attach_negative_values(argv[1:]))
+    assert {argv[1] for argv in lines} == set(cli._COMMAND_STREAMS)
 
 
 _TAUS = st.one_of(st.floats(-1.2, 1.2), st.sampled_from(["1.0", "-1.0", "nan", "inf"]))

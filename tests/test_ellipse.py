@@ -1,4 +1,4 @@
-"""Uniform law on the ellipse: parameters, marginal, tail mass, quantile.
+"""Uniform law on the ellipse: marginal, tail mass, quantile.
 
 Monte Carlo oracles draw 10^6 points from the rejection sampler below, an
 instrument independent of the closed forms, with 4-sigma gates; quadrature
@@ -13,12 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from equicount.ellipse import (
-    EllipseParams,
-    real_marginal_density,
-    tail_mass,
-    tail_quantile,
-)
+from equicount.ellipse import real_marginal_density, tail_mass, tail_quantile
 from equicount.errors import DomainError
 
 RNG_SEED = 20240914
@@ -36,20 +31,6 @@ def uniform_ellipse(tau, rng, size):
         parts.append(np.column_stack([xs[inside], ys[inside]]))
         kept += int(inside.sum())
     return np.concatenate(parts)[:size]
-
-
-class TestEllipseParams:
-    def test_axes_and_area(self):
-        p = EllipseParams(tau=0.4)
-        assert p.semi_axis_x == pytest.approx(1.4)
-        assert p.semi_axis_y == pytest.approx(0.6)
-        assert p.area == pytest.approx(math.pi * 1.4 * 0.6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            EllipseParams(tau=1.0)
-        with pytest.raises(DomainError):
-            EllipseParams(tau=-1.0)
 
 
 class TestSampler:
@@ -96,6 +77,18 @@ class TestTailMass:
         assert oracle == pytest.approx(0.19550110947788532, abs=1e-11)
         assert tail_mass(0.5, 0.0) == pytest.approx(oracle, abs=1e-11)
 
+    def test_relative_accuracy_at_the_support_edge(self):
+        # The segment area expanded at the edge: with delta = (a - s) / a,
+        # M = (4 sqrt(2) / (3 pi)) delta^(3/2) (1 - 3 delta / 20 + O(delta^2)).
+        # delta comes from the float s passed; a - s is exact (Sterbenz).
+        for tau in (-0.5, 0.0, 0.5):
+            a = 1.0 + tau
+            for delta in np.logspace(-15, -6, 19):
+                s = a * (1.0 - delta)
+                d = (a - s) / a
+                expected = 4.0 * math.sqrt(2.0) / (3.0 * math.pi) * d**1.5 * (1.0 - 0.15 * d)
+                assert tail_mass(s, tau) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
     def test_empirical_tail(self):
         tau = 0.2
         rng = np.random.default_rng(RNG_SEED + 3)
@@ -134,9 +127,8 @@ class TestTailQuantile:
     @given(gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            tau=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
     def test_round_trip_property(self, gamma, tau):
-        # An absolute bound: within about 1e-9 (1 + tau) of the support edge
-        # tail_mass is a difference of terms near 1/2 and has absolute errors
-        # near 1e-11, so a gamma below that comes back about 1e-11 off.
+        # An absolute bound: the bisection stops on a bracket of
+        # 1e-12 (1 + tau), over which the mass moves by at most about 1e-12.
         assert abs(tail_mass(tail_quantile(gamma, tau), tau) - gamma) < 1e-10
 
     def test_strictly_decreasing_in_gamma(self):

@@ -34,10 +34,8 @@ PARAMS = ModelParams(phi1=1.0, dphi1=2.0, phi2=0.0, sigma2=0.25)  # tau=0, b^2=0
 SEED = 777
 
 
-def contributions(window, n_trials=20_000, m=0, variant="m+1"):
-    return np.concatenate(
-        list(_count_contributions(2, m, PARAMS, window, n_trials, SEED, variant, 4096))
-    )
+def contributions(window, n_trials=20_000, m=0):
+    return np.concatenate(list(_count_contributions(2, m, PARAMS, window, n_trials, SEED)))
 
 
 class TestSampling:
@@ -202,16 +200,6 @@ class TestEstimateEquilibriaCount:
     def test_index_bounds(self):
         with pytest.raises(DomainError):
             estimate_equilibria_count(2, 2, PARAMS, n_trials=10, seed=SEED)
-        with pytest.raises(DomainError):
-            estimate_equilibria_count(2, 0, PARAMS, n_trials=10, seed=SEED, index_variant="m")
-        with pytest.raises(DomainError):
-            estimate_equilibria_count(2, 0, PARAMS, n_trials=10, seed=SEED, index_variant="x")
-
-    def test_legacy_variant_runs(self):
-        est = estimate_equilibria_count(
-            3, 1, PARAMS, FULL_LINE, n_trials=5000, seed=SEED, index_variant="m"
-        )
-        assert est.mean > 0.0
 
 
 class TestVerifyDimensionLift:

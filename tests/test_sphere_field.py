@@ -370,14 +370,16 @@ class TestEstimatorCrossCheckSphere:
         assert z_score(est, oracle.per_m[0]) < 3.0
 
     def test_rank_m_variant_rejected_at_n3(self):
-        # The legacy rank-m reading reproduces the m=0 answer for m=1 and is
-        # decisively incompatible with the direct count.
+        # Reading rank m instead of m+1 for m = 1 means reading 0-based index
+        # 0, the eigenvalue the estimator reads for m = 0 with the same
+        # prefactor and taper, so the estimate at m = 0 is that reading bit
+        # for bit. It is decisively incompatible with the direct count of m = 1.
         sigma2 = 0.25
         oracle = oracle_mean_counts(3, sigma2, 1200, SEED + 5)
-        legacy = estimate_equilibria_count(
-            3, 1, field_model_params(sigma2), n_trials=200_000, seed=SEED + 6, index_variant="m"
+        rank_m = estimate_equilibria_count(
+            3, 0, field_model_params(sigma2), n_trials=200_000, seed=SEED + 6
         )
-        assert z_score(legacy, oracle.per_m[1]) > 5.0
+        assert z_score(rank_m, oracle.per_m[1]) > 5.0
 
 
 # sha256 of oracle-compare outputs at --sigma2 0.25 --samples 60 --trials 2000
