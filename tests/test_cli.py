@@ -195,6 +195,18 @@ class TestSampleGeeCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "fb16f8d1292455158fb60dc11dfdd8ea30bf0e7fce9e9c67f8745aaf1e595588")
 
+    @pytest.mark.parametrize("n, digest", [
+        ("2", "5b1e74513e9b442405658a2088c883fb9770e5f920303de13dc396648ac6e1f0"),
+        ("3", "426f4900a7bbe13c3721bb61997e2c17bca131f0aea89b9999de9b5be8b4d8e2"),
+    ])
+    def test_closed_form_spectra_bytes_pinned(self, tmp_path, n, digest):
+        # Every ordered eigenvalue of the n <= 3 closed forms, signs of zero
+        # included; digests recorded while those spectra were argsorted.
+        out = tmp_path / "s.csv"
+        assert main(["sample-gee", "--n", n, "--tau", "0.2", "--trials", "5000", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_failure_after_first_batch_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         batch = montecarlo._eig_batch
 

@@ -191,8 +191,34 @@ def assert_matches_lapack(mats: np.ndarray, tol: float):
     return values, is_real
 
 
+DEGENERATE_FIXTURES = {
+    3: {
+        "zero": np.zeros((3, 3)),
+        "identity": np.eye(3),
+        "diag-1-1-2": np.diag([1.0, 1.0, 2.0]),
+        # Inexact entries: an unguarded Newton step leaves the double root by 3e-2.
+        "diag-0.1-0.1-0.7": np.diag([0.1, 0.1, 0.7]),
+        "triangular-1-1-5": [[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [0.0, 0.0, 5.0]],
+        "jordan-2": [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
+    },
+    2: {
+        "zero": np.zeros((2, 2)),
+        "identity": np.eye(2),
+        "jordan-2": [[2.0, 1.0], [0.0, 2.0]],
+        "rotation": [[0.0, -1.0], [1.0, 0.0]],
+        "rotation-reversed": [[0.0, 1.0], [-1.0, 0.0]],
+        "rotation-shifted": [[0.5, -1.0], [1.0, 0.5]],
+    },
+}
+
+
+def _by_size(n: int, label: str) -> str:
+    """Test id: the n = 3 ids predate the n = 2 cases and keep no prefix."""
+    return label if n == 3 else f"n{n}-{label}"
+
+
 class TestClosedFormCubic:
-    """n = 3 spectra from the characteristic cubic against LAPACK geev."""
+    """n = 2 and n = 3 spectra from the closed forms against LAPACK geev."""
 
     @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3, 0.9, 1.0])
     def test_seeded_stack_matches_lapack(self, tau):
@@ -201,23 +227,30 @@ class TestClosedFormCubic:
             mats = sample_gee_entries(3, tau, substream(SEED + 9, index), 4096)
             assert_matches_lapack(mats, 1e-10)
 
-    @pytest.mark.parametrize("entries", [
-        np.zeros((3, 3)),
-        np.eye(3),
-        np.diag([1.0, 1.0, 2.0]),
-        # Inexact entries: an unguarded Newton step leaves the double root by 3e-2.
-        np.diag([0.1, 0.1, 0.7]),
-        [[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [0.0, 0.0, 5.0]],
-        [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
-    ], ids=["zero", "identity", "diag-1-1-2", "diag-0.1-0.1-0.7", "triangular-1-1-5", "jordan-2"])
-    def test_degenerate_fixtures_match_lapack(self, entries):
-        assert_matches_lapack(np.asarray(entries, dtype=float)[None], 1e-12)
+    @pytest.mark.parametrize("n, name", [
+        pytest.param(n, name, id=_by_size(n, name))
+        for n in (3, 2) for name in DEGENERATE_FIXTURES[n]])
+    def test_degenerate_fixtures_match_lapack(self, n, name):
+        assert_matches_lapack(np.asarray(DEGENERATE_FIXTURES[n][name], dtype=float)[None], 1e-12)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-60, 1e60, 1e300])
-    def test_extreme_scales_match_lapack(self, scale):
-        # p^3 and q^2 leave the double range here unless each matrix is rescaled.
-        mats = scale * sample_gee_entries(3, 0.3, np.random.default_rng(SEED + 10), 1000)
+    @pytest.mark.parametrize("n, scale", [
+        pytest.param(n, scale, id=_by_size(n, f"{scale:g}"))
+        for n in (3, 2) for scale in (1e-300, 1e-60, 1e60, 1e300)])
+    def test_extreme_scales_match_lapack(self, n, scale):
+        # The determinant (n = 2) and p^3, q^2 (n = 3) leave the double range
+        # here unless each matrix is rescaled.
+        mats = scale * sample_gee_entries(n, 0.3, np.random.default_rng(SEED + 10), 1000)
         assert_matches_lapack(mats, 1e-10 * scale)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    @pytest.mark.parametrize("entries", [
+        [[0.0, -1.0], [1.0, 0.0]],
+        [[1.0, 2.0], [3.0, -1.0]],
+    ], ids=["rotation", "real-pair"])
+    def test_n2_fixtures_at_extreme_scales_match_lapack(self, entries, scale):
+        # Unscaled, the rotation's determinant underflows to a real double 0
+        # at 1e-170 and overflows to nan at 1e160; the real pair goes to inf.
+        assert_matches_lapack(scale * np.asarray(entries, dtype=float)[None], 1e-12 * scale)
 
     def test_real_part_tie_orders_like_lapack(self):
         # +-i and 0 share the real part 0: the conjugate-pair rule puts +i
