@@ -543,18 +543,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join each negative number to the --option in front of it ("--tau=-1e-05").
+    """Join each negative number, or grid spec starting with one, to the
+    --option in front of it ("--tau=-1e-05", "--tau-grid=-0.2:0.5:5").
 
-    argparse takes "-1e-05" or "-inf" standing alone for an option; the
-    commands have no positional arguments, so such a token can only be the
-    value of the option before it.
+    argparse takes "-1e-05", "-inf" or "-0.2:0.5:5" standing alone for an
+    option; the commands have no positional arguments, so such a token can
+    only be the value of the option before it.
     """
     out = []
     for token in argv:
         prev = out[-1] if out else ""
         if prev.startswith("--") and len(prev) > 2 and "=" not in prev and token.startswith("-"):
             try:
-                float(token)
+                float(token.split(":")[0])
             except ValueError:
                 pass
             else:

@@ -70,10 +70,11 @@ def tail_quantile(gamma: float, tau: float, tol: float = 1e-12) -> float:
     """The abscissa s with tail_mass(s, tau) = gamma, by bisection.
 
     The tail mass is strictly decreasing on (-(1+tau), 1+tau), so the root is
-    unique. gamma = 1/2 returns exactly 0.0 (the marginal is even). The search
-    interval is clamped a relative 1e-14 inside the support so the vanishing
-    density at the edges cannot stall the bracket; iteration stops once the
-    bracket is narrower than tol * (1+tau).
+    unique. gamma = 1/2 returns exactly 0.0 (the marginal is even). The
+    bracket starts at the support and shrinks until it is narrower than tol
+    times its distance to the nearer edge, or its ends are adjacent floats.
+    The mass vanishes like that distance to the power 3/2, so a small gamma
+    keeps its relative accuracy as far as the float spacing allows.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"tail_quantile requires 0 < gamma < 1, got {gamma}")
@@ -84,14 +85,12 @@ def tail_quantile(gamma: float, tau: float, tol: float = 1e-12) -> float:
     if gamma == 0.5:
         return 0.0
     a = 1.0 + tau
-    lo = -a * (1.0 - 1e-14)
-    hi = a * (1.0 - 1e-14)
-    for _ in range(200):
-        if hi - lo <= tol * a:
-            break
+    lo, hi = -a, a
+    while True:
         mid = 0.5 * (lo + hi)
+        if hi - lo <= tol * min(a + lo, a - hi) or mid in (lo, hi):
+            return mid
         if tail_mass(mid, tau) > gamma:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

@@ -13,10 +13,12 @@ real part; among members of a conjugate pair the one with positive imaginary
 part comes first. Realness is structural, never an |Im| < eps test, so events
 like {lambda_m real} carry no threshold bias. For n = 2 and 3 the batch solver
 uses closed forms of the characteristic polynomial and reads realness from the
-sign of its discriminant, a statement about the entries. For larger n it reads
+sign of its discriminant, a statement about the entries. Both scale each
+matrix exactly by a power of two and emit the roots already ordered, working
+on contiguous per-entry rows, without a sort. For larger n it reads
 the LAPACK drivers, which set the imaginary part of real eigenvalues to an
-exact zero. The test suite checks both against the block structure of the
-real Schur form.
+exact zero, and sorts. The test suite checks both against the block
+structure of the real Schur form.
 """
 
 from __future__ import annotations
@@ -90,112 +92,126 @@ def _order_key(values: np.ndarray) -> np.ndarray:
 _TRIG_PHASES = np.array([0.0, 2.0, 4.0]) * (math.pi / 3.0)
 
 
-def _depressed_cubic(mats: np.ndarray,
-                     scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tr(A) / scale and the coefficients p, q of the depressed characteristic
-    polynomial s^3 + p s + q of C = 3A/scale - (tr(A)/scale) I (see
-    ``_cubic_spectra``); the nine entries of C are batch vectors that die here."""
-    tr = (mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]) / scale
-    three = 3.0 / scale
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-        [mats[:, i, j] * three for j in range(3)] for i in range(3))
-    c00 -= tr
-    c11 -= tr
-    c22 -= tr
-    minor0 = c11 * c22 - c12 * c21
-    p = minor0 + (c00 * c22 - c02 * c20) + (c00 * c11 - c01 * c10)
-    q = c01 * (c10 * c22 - c12 * c20) - c00 * minor0 - c02 * (c10 * c21 - c11 * c20)
-    return tr, p, q
-
-
-def _real_roots(s: np.ndarray, p: np.ndarray, q: np.ndarray, three_real: np.ndarray,
-                one_real: np.ndarray) -> np.ndarray:
-    """Write the real roots of s^3 + p s + q into the zeroed (batch, 3) array
-    s, and return each one's distance to the nearest other root (0 where s
-    holds no root, which blocks the Newton step there).
-
-    Where ``three_real`` the descending roots come from the trigonometric
-    form; elsewhere column 0 gets the real root from Cardano's form, whose
-    distance to the conjugate pair is sqrt(3 root^2 + p).
-    """
-    gap = np.zeros(s.shape)
-    pr, qr = p[three_real], q[three_real]
-    # p <= 0 whenever the discriminant is >= 0, up to underflow.
-    rad = np.sqrt(np.maximum(-pr, 0.0) / 3.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos3 = np.clip(-qr / (2.0 * rad * rad * rad), -1.0, 1.0)
-    theta = np.arccos(np.where(rad > 0.0, cos3, 1.0)) / 3.0
-    roots = 2.0 * rad[:, None] * np.cos(theta[:, None] - _TRIG_PHASES)  # descending
-    s[three_real] = roots
-    gap_hi = roots[:, 0] - roots[:, 1]
-    gap_lo = roots[:, 1] - roots[:, 2]
-    gap[three_real] = np.stack([gap_hi, np.minimum(gap_hi, gap_lo), gap_lo], axis=1)
-
-    pc, qc = p[one_real], q[one_real]
-    u = -np.cbrt(0.5 * qc + np.copysign(np.sqrt(0.25 * qc * qc + pc * pc * pc / 27.0), qc))
-    root = u - pc / (3.0 * u)
-    s[one_real, 0] = root
-    gap[one_real, 0] = np.sqrt(3.0 * root * root + pc)
-    return gap
+def _scaled_entry_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a (batch, n, n) stack as contiguous (n*n, batch) rows,
+    each matrix divided by the power of two that brings its largest |entry|
+    into [1, 2), and those powers. The division is exact unless an entry
+    falls below 2^-1022 times its matrix's power."""
+    batch, n, _ = mats.shape
+    rows = mats.reshape(batch, n * n).T.astype(float, order="C")
+    peak = np.maximum(rows.max(axis=0), -rows.min(axis=0))
+    if not np.isfinite(peak).all():
+        raise EigensolverError("batched eigensolver needs finite entries", matrix=mats)
+    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
+    rows /= scale
+    return rows, scale
 
 
 def _newton_polish(s: np.ndarray, gap: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-    """One Newton step on s^3 + p s + q for each root in the (batch, 3) array
-    s, in place, taken only where shorter than half of ``gap`` (overwritten)."""
+    """One Newton step on s^3 + p s + q for each root in s, in place, taken
+    only where shorter than half of ``gap`` (overwritten)."""
     step = s * s
-    step += p[:, None]
+    step += p
     step *= s
-    step += q[:, None]
+    step += q
     slope = 3.0 * s
     slope *= s
-    slope += p[:, None]
+    slope += p
     with np.errstate(divide="ignore", invalid="ignore"):
         step /= slope
     gap *= 0.5
     np.subtract(s, step, out=s, where=np.less(np.abs(step, out=slope), gap))
 
 
-def _cubic_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unordered eigenvalues and realness of a (batch, 3, 3) stack.
+def _quadratic_spectra(rows: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered (re, im) rows of a scaled 2 x 2 stack, in the (4, batch) rows
+    it arrives in, and realness: (tr + sqrt(disc)) / 2 then (tr - sqrt(disc)) / 2,
+    or (tr +- i sqrt(-disc)) / 2, ordered by construction."""
+    a, b, c, d = rows
+    tr = a + d
+    det = a * d - b * c
+    disc = tr * tr - 4.0 * det
+    real = disc >= 0.0
+    root = np.sqrt(np.abs(disc))
+    shift = np.where(real, root, 0.0)
+    np.multiply(0.5, tr + shift, out=rows[0])
+    np.multiply(0.5, root - shift, out=rows[1])
+    np.multiply(0.5, tr - shift, out=rows[2])
+    # 0.5 * (tr - 1j * root) as a complex product adds +0.0 to its real part.
+    np.add(rows[2], 0.0, out=rows[2], where=~real)
+    np.subtract(0.0, rows[1], out=rows[3])
+    rows *= scale
+    return rows, np.stack([real, real])
+
+
+def _cubic_spectra(rows: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered (re, im) rows of a scaled 3 x 3 stack, in the first six of the
+    (9, batch) rows it arrives in, and realness.
 
     C = 3A - tr(A) I has eigenvalues s = 3 lambda - tr(A) and the depressed
     characteristic polynomial s^3 + p s + q (p its principal 2 x 2 minor
     sum, q = -det C); the factor 3 keeps small-integer entries exact, so
     exactly repeated eigenvalues give an exactly zero discriminant
-    -4 p^3 - 27 q^2. Three real roots come from the trigonometric form,
-    one from Cardano's form with its conjugate pair by deflation. Each real
+    -4 p^3 - 27 q^2. Three real roots come descending from the trigonometric
+    form, one from Cardano's form with its conjugate pair by deflation, and
+    the real one goes before or after the pair by its real part. Each real
     root takes one Newton step on the cubic, accepted only when shorter than
     half the distance to the nearest other root: near a double root the
-    step is rounding noise and would walk away from it.
-
-    Each matrix is first scaled by a power of two that brings its largest
-    entry into [1, 2), so p^3 and q^2 neither overflow nor underflow; the
-    scaling is exact and is undone at the end. The work runs on batch
-    vectors and in place, so no temporary the size of the stack is made.
+    step is rounding noise and would walk away from it. A last stable
+    compare-exchange pass orders what rounding left out of order.
     """
-    batch = mats.shape[0]
-    peak = np.abs(mats[:, 0, 0])
-    for entry in mats.reshape(batch, 9).T[1:]:
-        np.maximum(peak, np.abs(entry), out=peak)
-    scale = np.ldexp(1.0, np.frexp(peak)[1] - 1)
-    tr, p, q = _depressed_cubic(mats, scale)
+    tr = rows[0] + rows[4] + rows[8]
+    rows *= 3.0
+    rows[0] -= tr
+    rows[4] -= tr
+    rows[8] -= tr
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = rows
+    minor0 = c11 * c22 - c12 * c21
+    p = minor0 + (c00 * c22 - c02 * c20) + (c00 * c11 - c01 * c10)
+    q = c01 * (c10 * c22 - c12 * c20) - c00 * minor0 - c02 * (c10 * c21 - c11 * c20)
     three_real = -4.0 * p * p * p - 27.0 * q * q >= 0.0
-    one_real = ~three_real
+    trig, cardano = np.flatnonzero(three_real), np.flatnonzero(~three_real)
+    re, im = rows[0:6:2], rows[1:6:2]  # the entries are spent; the spectrum goes here
+    im[:] = 0.0
+    is_real = np.repeat(three_real[None], 3, axis=0)
 
-    values = np.zeros((batch, 3), dtype=complex)
-    s = values.real  # the real roots s, worked on in place
-    _newton_polish(s, _real_roots(s, p, q, three_real, one_real), p, q)
-    root = s[one_real, 0]
-    pair_re = (tr[one_real] - 0.5 * root) / 3.0
-    pair_im = np.sqrt(np.maximum(3.0 * root * root + 4.0 * p[one_real], 0.0)) / 6.0
-    s += tr[:, None]
-    s /= 3.0
-    values[one_real, 1] = pair_re + 1j * pair_im
-    values[one_real, 2] = pair_re - 1j * pair_im
-    values *= scale[:, None]
-    is_real = np.repeat(three_real[:, None], 3, axis=1)
-    is_real[:, 0] = True
-    return values, is_real
+    pt, qt = p[trig], q[trig]
+    # p <= 0 whenever the discriminant is >= 0, up to underflow.
+    rad = np.sqrt(np.maximum(-pt, 0.0) / 3.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos3 = np.clip(-qt / (2.0 * rad * rad * rad), -1.0, 1.0)
+    theta = np.arccos(np.where(rad > 0.0, cos3, 1.0)) / 3.0
+    roots = 2.0 * rad * np.cos(theta - _TRIG_PHASES[:, None])  # descending
+    gap_hi, gap_lo = roots[0] - roots[1], roots[1] - roots[2]
+    _newton_polish(roots, np.stack([gap_hi, np.minimum(gap_hi, gap_lo), gap_lo]), pt, qt)
+    roots += tr[trig]
+    roots /= 3.0
+    re[:, trig] = roots * scale[trig]
+
+    pc, qc, tc, sc = p[cardano], q[cardano], tr[cardano], scale[cardano]
+    u = -np.cbrt(0.5 * qc + np.copysign(np.sqrt(0.25 * qc * qc + pc * pc * pc / 27.0), qc))
+    root = u - pc / (3.0 * u)
+    _newton_polish(root, np.sqrt(3.0 * root * root + pc), pc, qc)
+    pair_re = (tc - 0.5 * root) / 3.0
+    pair_im = np.sqrt(np.maximum(3.0 * root * root + 4.0 * pc, 0.0)) / 6.0
+    sigma = (root + tc) / 3.0 * sc
+    # (pair_re +- 1j pair_im) * scale as the complex products round, signed zeros included.
+    upper_re, upper_im = (pair_re + 0.0) * sc, pair_im * sc
+    minus_im = 0.0 - pair_im
+    lower_re, lower_im = pair_re * sc - minus_im * 0.0, pair_re * 0.0 + minus_im * sc
+    after = (sigma < upper_re).astype(np.intp)  # the real root sorts after the pair
+    re[2 * after, cardano] = sigma
+    is_real[2 * after, cardano] = True
+    re[1 - after, cardano], im[1 - after, cardano] = upper_re, upper_im
+    re[2 - after, cardano], im[2 - after, cardano] = lower_re, lower_im
+
+    # Bubble pass swapping only strictly misordered neighbours: a stable sort.
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        swap = np.flatnonzero((re[j] > re[i]) | ((re[j] == re[i]) & (im[j] > im[i])))
+        if swap.size:
+            for part in (re, im, is_real):
+                part[[[i], [j]], swap] = part[[[j], [i]], swap]
+    return rows[:6], is_real
 
 
 def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,35 +220,24 @@ def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = 2 and n = 3 use closed forms of the characteristic polynomial, and
     realness is the sign of its discriminant (nonnegative means all roots
     real): an exact-arithmetic statement about the entries, not an
-    |Im| < eps test. Larger n goes through the LAPACK nonsymmetric
-    eigensolver, whose real eigenvalues come back with an exact zero
-    imaginary part. Non-finite entries raise :class:`EigensolverError` on
-    every path.
+    |Im| < eps test. Each matrix is first scaled exactly by a power of two
+    that brings its largest entry into [1, 2), so the coefficients stay in
+    range at any scale, and the roots come out ordered without a sort (at
+    n = 3 a compare-exchange pass settles rounding ties). Larger n goes
+    through the LAPACK nonsymmetric eigensolver, whose real eigenvalues come
+    back with an exact zero imaginary part, and a stable sort. Non-finite
+    entries raise :class:`EigensolverError` on every path.
     """
     batch, n, _ = mats.shape
-    if n in (2, 3) and not np.isfinite(mats).all():
-        raise EigensolverError("batched eigensolver needs finite entries", matrix=mats)
-    if n == 2:
-        tr = mats[:, 0, 0] + mats[:, 1, 1]
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        disc = tr * tr - 4.0 * det
-        real_pair = disc >= 0.0
-        root = np.sqrt(np.abs(disc))
-        values = np.empty((batch, 2), dtype=complex)
-        values[real_pair, 0] = 0.5 * (tr[real_pair] + root[real_pair])
-        values[real_pair, 1] = 0.5 * (tr[real_pair] - root[real_pair])
-        values[~real_pair, 0] = 0.5 * (tr[~real_pair] + 1j * root[~real_pair])
-        values[~real_pair, 1] = 0.5 * (tr[~real_pair] - 1j * root[~real_pair])
-        is_real = np.repeat(real_pair[:, None], 2, axis=1)
-        return values, is_real
-    if n == 3:
-        values, is_real = _cubic_spectra(mats)
-    else:
-        try:
-            values = np.linalg.eigvals(mats).astype(complex)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"batched eigensolver failed: {exc}", matrix=mats) from exc
-        is_real = values.imag == 0.0
+    if n in (2, 3):
+        rows, scale = _scaled_entry_rows(mats)
+        parts, is_real = (_quadratic_spectra if n == 2 else _cubic_spectra)(rows, scale)
+        return parts.T.copy().view(complex), is_real.T.copy()
+    try:
+        values = np.linalg.eigvals(mats).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"batched eigensolver failed: {exc}", matrix=mats) from exc
+    is_real = values.imag == 0.0
     order = np.argsort(_order_key(values), axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)
     is_real = np.take_along_axis(is_real, order, axis=1)

@@ -355,7 +355,9 @@ class TestLdpTailCommand:
      ["sample-gee", "--n", "5", "--tau=-1e-05", "--trials", "30", "--seed=-2"]),
     (["rates", "--b", "0.5", "--tau", "-2E-1", "--format", "json"],
      ["rates", "--b", "0.5", "--tau=-2E-1", "--format", "json"]),
-], ids=["lagrange-rates", "sample-gee", "rates"])
+    (["rates", "--b-grid", "0.5:0.9:5", "--tau-grid", "-0.2:0.5:5"],
+     ["rates", "--b-grid", "0.5:0.9:5", "--tau-grid=-0.2:0.5:5"]),
+], ids=["lagrange-rates", "sample-gee", "rates", "rates-grid"])
 def test_detached_negative_value_reads_like_attached(tmp_path, detached, attached):
     code1, text1 = run_to_file(tmp_path, "detached", detached)
     code2, text2 = run_to_file(tmp_path, "attached", attached)

@@ -131,6 +131,16 @@ class TestTailQuantile:
         # 1e-12 (1 + tau), over which the mass moves by at most about 1e-12.
         assert abs(tail_mass(tail_quantile(gamma, tau), tau) - gamma) < 1e-10
 
+    @pytest.mark.parametrize("tau", [-0.3, 0.0, 0.5])
+    def test_small_gamma_brackets_to_adjacent_floats(self, tau):
+        # Near the edge the default tolerance is below the float spacing, so
+        # the quantile is the float where the tail mass crosses gamma.
+        for k in range(6, 23):
+            gamma = 10.0 ** -k
+            s = tail_quantile(gamma, tau)
+            below, above = np.nextafter(s, -math.inf), np.nextafter(s, math.inf)
+            assert tail_mass(below, tau) >= gamma >= tail_mass(above, tau), k
+
     def test_strictly_decreasing_in_gamma(self):
         gammas = np.linspace(0.02, 0.98, 25)
         values = [tail_quantile(g, 0.3) for g in gammas]

@@ -213,7 +213,7 @@ DEGENERATE_FIXTURES = {
 
 
 def _by_size(n: int, label: str) -> str:
-    """Test id: the n = 3 ids predate the n = 2 cases and keep no prefix."""
+    """Test id, prefixed with the size except at n = 3."""
     return label if n == 3 else f"n{n}-{label}"
 
 
@@ -248,8 +248,9 @@ class TestClosedFormCubic:
         [[1.0, 2.0], [3.0, -1.0]],
     ], ids=["rotation", "real-pair"])
     def test_n2_fixtures_at_extreme_scales_match_lapack(self, entries, scale):
-        # Unscaled, the rotation's determinant underflows to a real double 0
-        # at 1e-170 and overflows to nan at 1e160; the real pair goes to inf.
+        # Without rescaling, the rotation's determinant underflows to 0 at
+        # 1e-170 (a real double root) and overflows to nan at 1e160; the real
+        # pair's eigenvalues overflow to inf.
         assert_matches_lapack(scale * np.asarray(entries, dtype=float)[None], 1e-12 * scale)
 
     def test_real_part_tie_orders_like_lapack(self):
