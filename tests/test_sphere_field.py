@@ -306,10 +306,12 @@ class TestOracleBatch:
     @pytest.mark.parametrize("n, samples, totals", [
         (3, 200, [330, 260, 330]),
         (2, 400, [642, 642]),
+        (2, 20000, [32202, 32202]),
     ])
     def test_pinned_count_totals(self, n, samples, totals):
         # Per-index totals recorded with the earlier solvers (dense scan on the
-        # circle, mesh-seeded Newton on the sphere) at one fixed seed.
+        # circle, mesh-seeded Newton on the sphere) at one fixed seed; the
+        # 20000-sample circle row with the degree-6 companion solver.
         out = oracle_mean_counts(n, 0.25, samples, SEED + 12)
         assert out.flag_reasons == {}
         assert [round(out.per_m[m].mean * out.n_retained) for m in range(n)] == totals
@@ -397,6 +399,17 @@ def test_oracle_compare_record_bytes_pinned(tmp_path, n, digest):
     out = tmp_path / "oc.json"
     assert main(ORACLE_ARGV + ["--n", str(n), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_readme_oracle_compare_n2_record_pinned(tmp_path):
+    # The README's n = 2 command, recorded with the degree-6 companion
+    # circle solver; the cubic solver must not change a byte of the record.
+    out = tmp_path / "oc.json"
+    argv = ["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "5000",
+            "--trials", "200000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b676978a4172e9a1a90fc4878a9e737f14ef0e276234b675303d9613635b65f7")
 
 
 def test_equilibria_dump_bytes_pinned(tmp_path):
