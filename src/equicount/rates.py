@@ -143,10 +143,12 @@ def rate_diverging_index(b: float, tau: float, gamma: float) -> RateResult:
 
 
 def _multiplier_exponent(c: float, b: float, tau: float, dphi1: float, m: int) -> float:
-    """Index-m rate at multiplier value c above the threshold (strictly
-    decreasing in c)."""
+    """Index-m rate at multiplier value c at or above the threshold (strictly
+    decreasing in c). At the threshold c / sqrt(dphi1) can round below the
+    edge 1 + tau, where I is infinite; the clamp removes only that rounding."""
     quad = (1.0 - b * b) * c * c / (2.0 * dphi1 * (b * b + tau) * (1.0 + tau))
-    return math.log(1.0 / b) - quad - (m + 1) * rate_function(c / math.sqrt(dphi1), tau)
+    x = max(c / math.sqrt(dphi1), 1.0 + tau)
+    return math.log(1.0 / b) - quad - (m + 1) * rate_function(x, tau)
 
 
 def rate_lagrange_window(
@@ -242,10 +244,12 @@ def multiplier_cutoff(
     def g(c: float) -> float:
         return -_multiplier_exponent(c, b, tau, dphi1, m)
 
-    if not g(threshold) < 0.0:
+    # g(threshold) rounds -rate differently and can read >= 0 at a tiny rate.
+    fixed = rate_fixed_index(b, tau).rate
+    if not fixed > 0.0:
         raise ConstraintError(
             "no multiplier cutoff: requires a positive fixed-index rate "
-            f"(rate_fixed_index(b={b}, tau={tau}) = {rate_fixed_index(b, tau).rate})"
+            f"(rate_fixed_index(b={b}, tau={tau}) = {fixed})"
         )
     lo = threshold
     hi = 2.0 * threshold + 1.0

@@ -13,11 +13,12 @@ multiplier lam makes F tangent to the sphere by construction.
 Equilibria (zeros of F) are the points where G(x) = f(x) + h |x|^2 / n is
 parallel to x: generically 2^n - 1 complex projective solutions (3 on the
 circle, 7 on the 2-sphere), each real one an antipodal pair of equilibria.
-They are found algebraically and polished by Newton iteration:
+Each real direction is found algebraically:
 
-* n = 2: F on the circle is g(t) * unit tangent, with g a degree-3
-  trigonometric polynomial; its zeros are the unit-modulus roots of the
-  degree-6 polynomial z^3 g(z), whose coefficients are an 8-point FFT of g.
+* n = 2: with x = sqrt(2)(c, s), g = <F(x), unit tangent> is a real binary
+  cubic in (c, s) read off the tensor; its real roots, from a 3x3 companion
+  eigensolve in the chart (s/c or c/s) with the larger leading coefficient,
+  are the directions.
 * n = 3: in a fixed generic chart x ~ Q (1, u, v), E1 = G_2 - u G_1 (cubic
   in u) and E2 = G_3 - v G_1 (quadratic in u) have a resultant of degree 7
   in v, interpolated by FFT from Sylvester determinants at 16 roots of unity;
@@ -26,24 +27,21 @@ They are found algebraically and polished by Newton iteration:
   tried. Fields with G(x) = |x|^2 c + (l . x) x (f = 0 among them) make the
   resultant vanish identically and are solved in closed form.
 
-Each equilibrium carries its unstable-direction count m (eigenvalues of the
-tangential Jacobian with nonnegative real part) and its multiplier value.
-Degenerate configurations (near-double roots, near-zero Jacobian eigenvalues,
-an index sum violating the Euler characteristic, a failed certificate) are
-measure zero; such a sample is flagged with the reason of the first check it
-fails.
+One stage serves both n: each direction and its antipode are polished by
+tangential Newton, and each equilibrium carries its unstable-direction count
+m (eigenvalues of the tangential Jacobian with nonnegative real part) and its
+multiplier value. Degenerate configurations (near-double roots, near-zero
+Jacobian eigenvalues, an index sum violating the Euler characteristic, a
+failed certificate) are measure zero; such a sample is flagged with the
+reason of the first check it fails.
 
-Both solvers work on a stack of samples at once: the FFTs, Sylvester
-determinants, companion eigensolves, certificate checks, Newton polish and
-2x2 Jacobians each run as one numpy call over the stack, and every check is
-a per-sample mask. A flagged sample leaves the stack without touching its
-neighbours, so a sample gives the same equilibria (to the bit) whether it is
-solved alone or in a block. Only the measure-zero cases leave the stack: the
-closed-form family and circle polynomials of lower degree. The oracle,
-``oracle_mean_counts``, solves blocks of ``_BLOCK`` = 64 samples, which
-keeps its memory flat at any sample count, and excludes flagged samples,
-reporting the exclusion rate and the reasons; ``find_equilibria_circle`` and
-``find_equilibria_sphere`` solve a stack of one and raise SampleFlaggedError.
+Every stage runs as one numpy call over a stack of samples (only the
+sphere's closed-form family is solved sample by sample) and every check is a
+per-sample mask, so a sample gives the same equilibria, to the bit, alone or
+in a block. The oracle, ``oracle_mean_counts``, solves blocks of ``_BLOCK``
+samples and excludes flagged samples, reporting the exclusion rate and the
+reasons; ``find_equilibria_circle`` and ``find_equilibria_sphere`` solve a
+stack of one and raise SampleFlaggedError.
 """
 
 from __future__ import annotations
@@ -61,14 +59,15 @@ from .sampling import MCEstimate, substream
 #: Classification threshold on |Re eigenvalue| of the tangential Jacobian
 #: below which a sample is flagged as a boundary case.
 _JACOBIAN_EIG_FLOOR = 1e-10
-#: Slope floor below which a circle root counts as degenerate (tangency).
-_SLOPE_FLOOR = 1e-8
+#: Relative tolerance of the root certificates: complex solutions closer than
+#: it to each other or to the real plane are a near-double root; on the
+#: sphere, resultant coefficients below it vanish, chart coordinates beyond
+#: its inverse are infinite and back-solve residuals must stay below it.
+_CERT_TOL = 1e-6
 #: Newton steps allowed to polish a root that the algebra located to rounding.
 _POLISH_STEPS = 8
-#: A circle sample's polish stops once every Newton step is below this (radians).
-_CIRCLE_STEP_TOL = 1e-12
-#: A sphere sample's polish stops once every root has |F| at most this.
-_SPHERE_RESIDUAL_TOL = 1e-11
+#: A sample's polish stops once every root has |F| at most this.
+_RESIDUAL_TOL = 1e-11
 #: Samples that ``oracle_mean_counts`` solves in one batched pass. A block
 #: costs about 1.3 ms of call overhead at n = 3; at 64 samples its largest
 #: temporary, the stack of Sylvester matrices (6.4 KB a sample), stays near the
@@ -187,110 +186,59 @@ def _companion_roots(poly: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def _real_solutions(points: np.ndarray, live: np.ndarray, flags: _Flags) -> np.ndarray:
+    """Which complex solutions ``points`` (live, k, dim) are exactly real, after
+    flagging the samples with a near-double root: two solutions, or one and
+    the real plane, closer than ``_CERT_TOL`` relative to the solution's size."""
+    size = 1.0 + np.abs(points).sum(axis=-1)
+    gaps = np.abs(points[:, :, None, :] - points[:, None, :, :]).sum(axis=-1)
+    gaps[:, np.arange(points.shape[1]), np.arange(points.shape[1])] = np.inf
+    coincide = np.any(gaps < _CERT_TOL * size[:, None, :], axis=(1, 2))
+    flags.add(live[flags.alive[live] & coincide],
+              "degenerate-root", "two complex solutions coincide")
+    imag = np.abs(points.imag).sum(axis=-1)
+    near_real = np.any((imag > 0.0) & (imag < _CERT_TOL * size), axis=1)
+    flags.add(live[flags.alive[live] & near_real],
+              "degenerate-root", "near-real complex pair")
+    return (imag == 0.0) & flags.alive[live][:, None]
+
+
 # ---------------------------------------------------------------------------
-# n = 2: unit-modulus roots of a trigonometric polynomial
+# n = 2: the real roots of a binary cubic
 # ---------------------------------------------------------------------------
 
-#: A root z of z^3 g(z) with ||z| - 1| below this lies on the circle; simple
-#: roots come out of the eigensolver within about 1e-13 of it.
-_UNIT_TOL = 1e-6
-#: A root off the circle but closer than this is half of a near-double real
-#: root (a complex pair about to land); the sample is flagged.
-_NEAR_UNIT = 1e-4
-#: Angles at which g is sampled for its Fourier coefficients.
-_CIRCLE_NODES = np.arange(8) * (math.pi / 4.0)
 
+def _circle_real_roots(coeffs: np.ndarray, drift: np.ndarray):
+    """Unit directions of the equilibria of a stack of circle fields, one per
+    antipodal pair: the real projective roots of the binary cubic
 
-def _circle_g(coeffs: np.ndarray, drift: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Tangential component g(theta) = <f(x) + h, t> at x = sqrt(2)(cos, sin).
+        g(c, s) = <f(x) + h, t> = -s f_0 + c f_1 + (h_1 c - h_0 s)(c^2 + s^2),
 
-    ``coeffs`` (..., 2, 2, 2) and ``drift`` (..., 2) broadcast against
-    ``theta``. The multiplier term drops out because <x, t> = 0; g is a
-    trigonometric polynomial of degree 3, so it has at most 6 zeros.
+    x = sqrt(2)(c, s), t = (-s, c), read off the tensor and solved in the
+    chart, s/c or c/s, with the larger leading coefficient. Returns the stack
+    index of each direction, the directions (grouped by sample) and the flags.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    x = math.sqrt(2.0) * np.stack([c, s], axis=-1)
-    f = _f_value(coeffs, x) + drift
-    return -f[..., 0] * s + f[..., 1] * c
-
-
-def _solve_circle(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
-    """Equilibria of a stack of circle fields, each sorted by angle in [0, 2 pi).
-
-    Roots are polished by Newton on g(theta) = c_0 + 2 Re sum_j c_j e^{i j theta}
-    until every step of the sample is below ``_CIRCLE_STEP_TOL``. Zeros of a smooth
-    function on the circle alternate in slope sign, so count(m=0) = count(m=1)
-    must hold.
-    """
-    size = len(coeffs)
-    flags = _Flags(size)
-    g = _circle_g(coeffs[:, None], drift[:, None], _CIRCLE_NODES)
-    c = np.fft.fft(g)[:, :4] / 8.0
-    poly = np.concatenate([c[:, :0:-1], c[:, :1].real, np.conj(c[:, 1:])], axis=1)
-    magnitude = np.abs(poly)
-    top = magnitude.max(axis=1)
-    flags.add(np.flatnonzero(top == 0.0), "degenerate-root", "g vanishes identically")
-    # Negligible outer coefficients (a field of lower trigonometric degree)
-    # only add roots near 0 and infinity; drop them in reciprocal pairs.
-    # Such polynomials have measure zero and are solved one at a time.
-    trim = np.argmax(magnitude > 1e-12 * top[:, None], axis=1)
-    full = np.flatnonzero(flags.alive & (trim == 0))
-    sids, roots = [np.repeat(full, 6)], [_companion_roots(poly[full]).ravel()]
-    for k in np.flatnonzero(flags.alive & (trim > 0)):
-        z = np.roots(poly[k, trim[k]:len(poly[k]) - trim[k]])
-        sids.append(np.full(len(z), k))
-        roots.append(z)
-    sid = np.concatenate(sids)
-    order = np.argsort(sid, kind="stable")
-    sid, z = sid[order], np.concatenate(roots)[order]
-    off_circle = np.abs(np.abs(z) - 1.0)
-    near = (off_circle >= _UNIT_TOL) & (off_circle < _NEAR_UNIT)
-    flags.add(np.flatnonzero(_any_per_sample(near, sid, size)), "degenerate-root",
-              lambda k: f"root {off_circle[near & (sid == k)].min():.3g} off the circle")
-    on = (off_circle < _UNIT_TOL) & flags.alive[sid]
-    sid, theta = sid[on], np.angle(z[on])
-    slope = np.empty_like(theta)
-    j = np.arange(1, 4)
-    polishing = flags.alive.copy()
-    for _ in range(_POLISH_STEPS):
-        if not polishing.any():
-            break
-        rows = np.flatnonzero(polishing[sid])
-        terms = c[sid[rows], 1:] * np.exp(1j * np.outer(theta[rows], j))
-        row_slope = -2.0 * (terms * j).sum(axis=1).imag
-        tangency = np.abs(row_slope) < _SLOPE_FLOOR
-        flags.add(np.flatnonzero(_any_per_sample(tangency, sid[rows], size)), "degenerate-root",
-                  lambda k: f"|dg/dtheta| = {np.abs(row_slope[sid[rows] == k]).min()}")
-        keep = flags.alive[sid[rows]]
-        rows, terms, row_slope = rows[keep], terms[keep], row_slope[keep]
-        step = (c[sid[rows], 0].real + 2.0 * terms.sum(axis=1).real) / row_slope
-        theta[rows] -= step
-        slope[rows] = row_slope
-        polishing &= flags.alive & _any_per_sample(~(np.abs(step) <= _CIRCLE_STEP_TOL), sid[rows], size)
-    kept = flags.alive[sid]
-    sid, theta, slope = sid[kept], theta[kept] % (2.0 * math.pi), slope[kept]
-    order = np.argsort(theta)
-    order = order[np.argsort(sid[order], kind="stable")]
-    sid, theta, slope = sid[order], theta[order], slope[order]
-    ms = (slope >= 0.0).astype(int)
-    roots_per_sample = np.bincount(sid, minlength=size)
-    unstable = np.bincount(sid, weights=ms, minlength=size)
-    flags.add(np.flatnonzero(flags.alive & (2 * unstable != roots_per_sample)),
-              "alternation-violation", lambda k: f"m counts {ms[sid == k].tolist()}")
-    kept = flags.alive[sid]
-    sid, theta, ms = sid[kept], theta[kept], ms[kept]
-    xs = math.sqrt(2.0) * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    lams = (xs * (_f_value(coeffs[sid], xs) + drift[sid])).sum(axis=1) / 2.0
-    residuals = np.abs(_circle_g(coeffs[sid], drift[sid], theta))
-    return _Solved(sid, xs, ms, lams, residuals, flags.errors)
-
-
-def find_equilibria_circle(fs: FieldSample) -> list[Equilibrium]:
-    """All equilibria on the circle, sorted by angle in [0, 2 pi): a batch of
-    one; raises SampleFlaggedError for a flagged sample."""
-    if fs.n != 2:
-        raise DomainError("find_equilibria_circle requires n = 2")
-    return _solve_circle(fs.coeffs[None], fs.drift[None]).single()
+    flags = _Flags(len(coeffs))
+    j, h0, h1 = 2.0 * coeffs, drift[:, 0], drift[:, 1]
+    # Coefficients of c^3, c^2 s, c s^2 and s^3.
+    cubic = np.stack([j[:, 1, 0, 0] + h1,
+                      j[:, 1, 0, 1] + j[:, 1, 1, 0] - j[:, 0, 0, 0] - h0,
+                      j[:, 1, 1, 1] - j[:, 0, 0, 1] - j[:, 0, 1, 0] + h1,
+                      -j[:, 0, 1, 1] - h0], axis=1)
+    flags.add(np.flatnonzero(~cubic.any(axis=1)), "degenerate-root", "g vanishes identically")
+    # Bounds the companion entries; not finite when both leading terms vanish.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.abs(cubic).max(axis=1) / np.maximum(np.abs(cubic[:, 0]), np.abs(cubic[:, 3]))
+    flags.add(np.flatnonzero(flags.alive & ~(spread < np.inf)),
+              "uncertified", "root at both charts' infinity")
+    live = np.flatnonzero(flags.alive)
+    # t = c/s when the c^3 coefficient leads, else t = s/c.
+    flip = np.abs(cubic[live, 0]) > np.abs(cubic[live, 3])
+    t = _companion_roots(np.where(flip[:, None], cubic[live], cubic[live, ::-1]))
+    real = _real_solutions(t.astype(complex)[..., None], live, flags)
+    pair = np.stack([np.ones(t.shape), t.real], axis=-1)
+    pair = np.where(flip[:, None, None], pair[..., ::-1], pair)[real]
+    return np.repeat(live, 3)[real.ravel()], pair / np.linalg.norm(pair, axis=1)[:, None], flags
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +253,6 @@ _CHARTS = tuple(
 #: The resultant has degree <= 9 in v, so 16 nodes on the unit circle
 #: interpolate it exactly.
 _NODES = np.exp(2j * math.pi * np.arange(16) / 16)
-#: Relative tolerance of the certificate: resultant coefficients below it
-#: vanish, chart coordinates beyond its inverse are infinite, back-solve
-#: residuals must stay below it, and complex solutions closer than it to each
-#: other or to the real plane are a near-double root.
-_CERT_TOL = 1e-6
 
 
 def _chart_polys(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,17 +317,7 @@ def _chart_real_roots(a: np.ndarray, q: np.ndarray):
     flags.add(live[flags.alive[live] & (fit.max(axis=1) > _CERT_TOL)],
               "uncertified", "back-solve residual too large")
     points = np.stack([u, v], axis=-1)
-    size = 1.0 + np.abs(points).sum(axis=-1)
-    gaps = np.abs(points[:, :, None, :] - points[:, None, :, :]).sum(axis=-1)
-    gaps[:, np.arange(7), np.arange(7)] = np.inf
-    coincide = np.any(gaps < _CERT_TOL * size[:, None, :], axis=(1, 2))
-    flags.add(live[flags.alive[live] & coincide],
-              "degenerate-root", "two complex solutions coincide")
-    imag = np.abs(points.imag).sum(axis=-1)
-    near_real = np.any((imag > 0.0) & (imag < _CERT_TOL * size), axis=1)
-    flags.add(live[flags.alive[live] & near_real],
-              "degenerate-root", "near-real complex pair")
-    real = (imag == 0.0) & flags.alive[live][:, None]
+    real = _real_solutions(points, live, flags)
     sid = np.repeat(live, 7)[real.ravel()]
     chart_points = np.concatenate([np.ones((len(sid), 1)), points[real].real], axis=1)
     xs = chart_points @ q.T
@@ -396,42 +329,10 @@ def _chart_real_roots(a: np.ndarray, q: np.ndarray):
     return sid, xs / np.linalg.norm(xs, axis=1)[:, None], flags
 
 
-def _tangent_frames(xs: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent bases at each row of xs, as columns: shape (s, 3, 2)."""
-    radial = xs / np.linalg.norm(xs, axis=1)[:, None]
-    # Pick the coordinate axis least aligned with the radial direction.
-    pick = np.argmin(np.abs(radial), axis=1)
-    helper = np.zeros_like(radial)
-    helper[np.arange(len(xs)), pick] = 1.0
-    e1 = helper - (helper * radial).sum(axis=1)[:, None] * radial
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    return np.stack([e1, np.cross(radial, e1)], axis=-1)
-
-
-def _tangential_system(coeffs: np.ndarray, drift: np.ndarray, xs: np.ndarray):
-    """F, lam, tangent frames and the Jacobian of F in those frames at each
-    row of xs, for the field of that row's tensor and drift."""
-    n = xs.shape[1]
-    ambient = _f_value(coeffs, xs) + drift
-    lam = (xs * ambient).sum(axis=1) / n
-    # d f_i / d x_l = sum_k J_ilk x_k + sum_j J_ijl x_j
-    df = np.einsum("silk,sk->sil", coeffs, xs) + np.einsum("sijl,sj->sil", coeffs, xs)
-    grad_lam = (ambient + np.einsum("sil,si->sl", df, xs)) / n
-    jac = df - lam[:, None, None] * np.eye(n) - xs[:, :, None] * grad_lam[:, None, :]
-    frames = _tangent_frames(xs)
-    reduced = np.einsum("sia,sij,sjb->sab", frames, jac, frames)
-    return ambient - lam[:, None] * xs, lam, frames, reduced
-
-
-def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
-    """Equilibria of a stack of 2-sphere fields, from each certified complex
-    root set.
-
-    Roots are polished by tangential Newton until every root of the sample
-    has |F| <= ``_SPHERE_RESIDUAL_TOL``. The index sum must also meet the Euler
-    characteristic, sum (-1)^m = 2; a sample that fails any check is flagged
-    rather than returned as a silently short list.
-    """
+def _sphere_real_roots(coeffs: np.ndarray, drift: np.ndarray):
+    """Unit directions of the equilibria of a stack of 2-sphere fields, one
+    per antipodal pair, from each certified complex root set: the stack index
+    of each direction, the directions and the flags."""
     size = len(coeffs)
     flags = _Flags(size)
     # G_i(x) = x^T a[i] x on the sphere, with the drift made homogeneous.
@@ -461,15 +362,63 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
         pending = np.array(sorted(failed), dtype=np.intp)
     flags.errors.update(failed)
     flags.alive[list(failed)] = False
+    sid = np.concatenate([np.empty(0, dtype=np.intp)] + [k for k, _ in found])
+    return sid, np.concatenate([np.empty((0, 3))] + [d for _, d in found]), flags
+
+
+# ---------------------------------------------------------------------------
+# Both n: polish and classify the real directions
+# ---------------------------------------------------------------------------
+
+
+def _tangent_frames(xs: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases at each row of xs, as columns: (s, n, n - 1)."""
+    radial = xs / np.linalg.norm(xs, axis=1)[:, None]
+    if xs.shape[1] == 2:
+        return np.stack([-radial[:, 1], radial[:, 0]], axis=-1)[..., None]
+    # Pick the coordinate axis least aligned with the radial direction.
+    pick = np.argmin(np.abs(radial), axis=1)
+    helper = np.zeros_like(radial)
+    helper[np.arange(len(xs)), pick] = 1.0
+    e1 = helper - (helper * radial).sum(axis=1)[:, None] * radial
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return np.stack([e1, np.cross(radial, e1)], axis=-1)
+
+
+def _tangential_system(coeffs: np.ndarray, drift: np.ndarray, xs: np.ndarray):
+    """F, lam, tangent frames and the Jacobian of F in those frames at each
+    row of xs, for the field of that row's tensor and drift."""
+    n = xs.shape[1]
+    ambient = _f_value(coeffs, xs) + drift
+    lam = (xs * ambient).sum(axis=1) / n
+    # d f_i / d x_l = sum_k J_ilk x_k + sum_j J_ijl x_j
+    df = np.einsum("silk,sk->sil", coeffs, xs) + np.einsum("sijl,sj->sil", coeffs, xs)
+    grad_lam = (ambient + np.einsum("sil,si->sl", df, xs)) / n
+    jac = df - lam[:, None, None] * np.eye(n) - xs[:, :, None] * grad_lam[:, None, :]
+    frames = _tangent_frames(xs)
+    reduced = np.einsum("sia,sij,sjb->sab", frames, jac, frames)
+    return ambient - lam[:, None] * xs, lam, frames, reduced
+
+
+def _solve(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
+    """Equilibria of a stack of circle (n = 2) or 2-sphere (n = 3) fields.
+
+    Each certified direction and its antipode are polished by tangential
+    Newton until every root of the sample has |F| <= ``_RESIDUAL_TOL``, then
+    classified by the tangential Jacobian. The index sum must also meet the
+    Euler characteristic, sum (-1)^m = 1 + (-1)^(n-1); a sample that fails
+    any check is flagged rather than returned as a silently short list.
+    """
+    size, n = coeffs.shape[:2]
+    find = _circle_real_roots if n == 2 else _sphere_real_roots
+    sid, dirs, flags = find(coeffs, drift)
     # Each real direction is an antipodal pair of equilibria: a sample's
     # directions, then their antipodes.
-    sid = np.concatenate([np.empty(0, dtype=np.intp)] + [k for k, _ in found])
-    dirs = np.concatenate([np.empty((0, 3))] + [d for _, d in found])
     sid = np.concatenate([sid, sid])
     order = np.argsort(sid, kind="stable")
-    sid, xs = sid[order], math.sqrt(3.0) * np.concatenate([dirs, -dirs])[order]
+    sid, xs = sid[order], math.sqrt(n) * np.concatenate([dirs, -dirs])[order]
     coeffs, drift = coeffs[sid], drift[sid]
-    lam, residual, jac = np.empty(len(sid)), np.empty(len(sid)), np.empty((len(sid), 2, 2))
+    lam, residual, jac = np.empty(len(sid)), np.empty(len(sid)), np.empty((len(sid), n - 1, n - 1))
     polishing = flags.alive.copy()
     for _ in range(_POLISH_STEPS):
         if not polishing.any():
@@ -477,7 +426,7 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
         rows = np.flatnonzero(polishing[sid])
         tangent, row_lam, frames, row_jac = _tangential_system(coeffs[rows], drift[rows], xs[rows])
         norms = np.linalg.norm(tangent, axis=1)
-        done = polishing & ~_any_per_sample(~(norms <= _SPHERE_RESIDUAL_TOL), sid[rows], size)
+        done = polishing & ~_any_per_sample(~(norms <= _RESIDUAL_TOL), sid[rows], size)
         polishing &= ~done
         settled = done[sid[rows]]
         lam[rows[settled]], residual[rows[settled]] = row_lam[settled], norms[settled]
@@ -486,12 +435,11 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
         rows, frames, tangent = rows[move], frames[move], tangent[move]
         step = np.linalg.solve(row_jac[move], -np.einsum("sia,si->sa", frames, tangent)[..., None])
         moved = xs[rows] + (frames @ step)[..., 0]
-        xs[rows] = math.sqrt(3.0) * moved / np.linalg.norm(moved, axis=1)[:, None]
+        xs[rows] = math.sqrt(n) * moved / np.linalg.norm(moved, axis=1)[:, None]
     flags.add(np.flatnonzero(polishing), "uncertified",
-              f"Newton polish stalled above {_SPHERE_RESIDUAL_TOL}")
+              f"Newton polish stalled above {_RESIDUAL_TOL}")
     kept = flags.alive[sid]
     sid, xs, lam, residual, jac = sid[kept], xs[kept], lam[kept], residual[kept], jac[kept]
-    # m from the 2x2 tangential Jacobians.
     re_parts = np.linalg.eigvals(jac).real
     flags.add(
         np.flatnonzero(_any_per_sample(np.any(np.abs(re_parts) < _JACOBIAN_EIG_FLOOR, axis=1),
@@ -499,10 +447,19 @@ def _solve_sphere(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
         "near-zero-jacobian-eigenvalue", lambda k: f"re parts {re_parts[sid == k].tolist()}")
     ms = (re_parts >= 0.0).sum(axis=1)
     index_sum = np.bincount(sid, weights=(-1) ** ms, minlength=size).astype(int)
-    flags.add(np.flatnonzero(flags.alive & (index_sum != 2)), "euler-characteristic-violation",
-              lambda k: f"sum (-1)^m = {index_sum[k]}")
+    flags.add(np.flatnonzero(flags.alive & (index_sum != 1 + (-1) ** (n - 1))),
+              "euler-characteristic-violation", lambda k: f"sum (-1)^m = {index_sum[k]}")
     kept = flags.alive[sid]
     return _Solved(sid[kept], xs[kept], ms[kept], lam[kept], residual[kept], flags.errors)
+
+
+def find_equilibria_circle(fs: FieldSample) -> list[Equilibrium]:
+    """All equilibria on the circle, a sample's directions then their
+    antipodes: a batch of one; raises SampleFlaggedError for a flagged
+    sample."""
+    if fs.n != 2:
+        raise DomainError("find_equilibria_circle requires n = 2")
+    return _solve(fs.coeffs[None], fs.drift[None]).single()
 
 
 def find_equilibria_sphere(fs: FieldSample) -> list[Equilibrium]:
@@ -510,7 +467,7 @@ def find_equilibria_sphere(fs: FieldSample) -> list[Equilibrium]:
     SampleFlaggedError for a flagged sample."""
     if fs.n != 3:
         raise DomainError("find_equilibria_sphere requires n = 3")
-    return _solve_sphere(fs.coeffs[None], fs.drift[None]).single()
+    return _solve(fs.coeffs[None], fs.drift[None]).single()
 
 
 @lru_cache(maxsize=16)
@@ -590,14 +547,13 @@ def oracle_mean_counts(
     Equilibrium) pair for every retained equilibrium (CSV dumps).
     Flagged-sample reasons and the exclusion rate are reported.
     """
-    solve = _solve_circle if n == 2 else _solve_sphere
     counts = [np.empty((0, n))]
     reasons: dict[str, int] = {}
     for start in range(0, n_samples, _BLOCK):
         fields = [sample_field(n, sigma2, substream(seed, i))
                   for i in range(start, min(start + _BLOCK, n_samples))]
-        solved = solve(np.stack([fs.coeffs for fs in fields]),
-                       np.stack([fs.drift for fs in fields]))
+        solved = _solve(np.stack([fs.coeffs for fs in fields]),
+                        np.stack([fs.drift for fs in fields]))
         for k in sorted(solved.flags):
             reason = solved.flags[k].reason
             reasons[reason] = reasons.get(reason, 0) + 1

@@ -100,6 +100,18 @@ class TestLagrangeRatesCommand:
         assert code == 0
         assert text.strip().splitlines()[-1].split(",")[-1] == "-inf"
 
+    def test_cutoff_when_the_threshold_quotient_rounds_low(self, tmp_path):
+        # (1 + tau) sqrt(7) / sqrt(7) rounds below 1 + tau = 1.9; the cutoff
+        # search must still start from the fixed-index rate there.
+        code, text = run_to_file(
+            tmp_path, "l.csv",
+            ["lagrange-rates", "--b", "0.5", "--tau", "0.9", "--dphi1", "7", "--m", "1",
+             "--c", "3", "--with-cutoff"],
+        )
+        assert code == 0
+        cutoff = text.strip().splitlines()[-1].split(",")
+        assert cutoff[3] == "cutoff" and float(cutoff[2]) > 1.9 * math.sqrt(7.0)
+
     def test_straddle_matches_rates_command(self, tmp_path):
         _, straddle = run_to_file(
             tmp_path, "a.csv",
@@ -275,9 +287,9 @@ class TestOracleCompareCommand:
         assert record["flagged_rate"] < 0.01
 
     def test_flag_reasons_go_to_sidecar(self, tmp_path, monkeypatch):
-        # A slope floor far above rounding flags the samples with a shallow
-        # root as degenerate; the record keeps only the rate.
-        monkeypatch.setattr(sphere_field, "_SLOPE_FLOOR", 0.5)
+        # A Jacobian eigenvalue floor far above rounding flags the samples
+        # with a shallow root; the record keeps only the rate.
+        monkeypatch.setattr(sphere_field, "_JACOBIAN_EIG_FLOOR", 0.5)
         out = tmp_path / "oc.json"
         code = main(["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "200",
                      "--trials", "1000", "--seed", "4", "--out", str(out)])
@@ -286,11 +298,11 @@ class TestOracleCompareCommand:
         assert 0 < flagged < 200
         log = (tmp_path / "oc.json.log").read_text().splitlines()
         assert [line for line in log if line.startswith("flagged ")] == [
-            f"flagged degenerate-root: {flagged}"]
+            f"flagged near-zero-jacobian-eigenvalue: {flagged}"]
         assert "flagged" not in out.read_text().replace("flagged_rate", "")
 
     def test_every_sample_flagged_is_a_numerical_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(sphere_field, "_SLOPE_FLOOR", math.inf)
+        monkeypatch.setattr(sphere_field, "_JACOBIAN_EIG_FLOOR", math.inf)
         code = main(["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "20",
                      "--trials", "1000", "--seed", "4"])
         err = capsys.readouterr().err

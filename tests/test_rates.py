@@ -1,9 +1,12 @@
 """Closed-form rates: hand values, threshold identity, window branches, cutoff."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from equicount.errors import ConstraintError, DomainError
 from equicount.rates import (
@@ -205,6 +208,43 @@ class TestMultiplierCutoff:
     def test_subcritical_rejected(self):
         with pytest.raises(ConstraintError, match="positive fixed-index rate"):
             multiplier_cutoff(0.5, 0.0, 2.0, 1)
+
+
+_SUPERCRITICAL = dict(b=st.floats(0.08, 0.92), tau=st.floats(-0.9, 0.9),
+                      dphi1=st.floats(0.5, 8.0), m=st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**_SUPERCRITICAL)
+@example(b=0.5, tau=0.9, dphi1=7.0, m=1)  # the threshold quotient rounds below 1 + tau
+def test_window_rate_tends_to_fixed_index_at_threshold(b, tau, dphi1, m):
+    # c = threshold (1 + delta): the window rate approaches the fixed-index
+    # rate as delta -> 0, never jumping to -inf on a rounded quotient.
+    assume(b * b + tau > 0.05)
+    threshold = (1.0 + tau) * math.sqrt(dphi1)
+    fixed = rate_fixed_index(b, tau).rate
+    gaps = [abs(rate_lagrange_window(b, tau, dphi1, m, threshold * (1.0 + delta), math.inf).rate
+                - fixed) for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-15)]
+    assert all(later <= earlier + 1e-13 for earlier, later in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(b=st.floats(0.08, 0.92), above=st.floats(0.0, 1.0), dphi1=st.floats(0.5, 8.0),
+       m=st.integers(0, 4), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+@example(b=0.5, above=(0.9 - threshold_tau(0.5)) / (0.99 - threshold_tau(0.5)), dphi1=7.0, m=1,
+         tol=1e-10)
+def test_cutoff_brackets_the_sign_change(b, above, dphi1, m, tol):
+    # Whenever the fixed-index rate is positive (tau above the threshold
+    # curve) the cutoff exists, and the window rate changes sign across
+    # [z0 - tol, z0 + tol].
+    tau = threshold_tau(b) + above * (0.99 - threshold_tau(b))
+    assume(rate_fixed_index(b, tau).rate > 0.0)
+    z0 = multiplier_cutoff(b, tau, dphi1, m, tol=tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # an end exactly on the threshold
+        assert rate_lagrange_window(b, tau, dphi1, m, z0 - tol, math.inf).rate >= 0.0
+        assert rate_lagrange_window(b, tau, dphi1, m, z0 + tol, math.inf).rate <= 0.0
 
 
 class TestRateResult:

@@ -7,6 +7,7 @@ at +-sqrt(3) h/|h| with multipliers +-|h|/sqrt(3)) and anchors the solver.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,11 +100,18 @@ def with_singular_sphere_root(fs, direction):
     return FieldSample(n=3, coeffs=fs.coeffs, drift=fs.drift + shift, sigma2=fs.sigma2)
 
 
+def circle_roots_at_both_infinities():
+    """A circle field whose cubic g = c s (c + s) has no c^3 and no s^3 term."""
+    coeffs = np.zeros((2, 2, 2))
+    coeffs[1, 0, 1] = coeffs[1, 1, 1] = 0.5
+    return FieldSample(n=2, coeffs=coeffs, drift=np.zeros(2), sigma2=0.0)
+
+
 def seeded_with_degenerate(n, count, seed):
     """``count`` seeded samples, some replaced by degenerate fields: f = h = 0,
-    a double root, and (not flagged, but off the vectorised path) a circle
-    field of lower degree, the closed-form family on the sphere and a root
-    at the first chart's infinity."""
+    a double root, a circle cubic with both leading coefficients zero, and
+    (not flagged) a circle field of lower degree, the closed-form family on
+    the sphere and a root at the first chart's infinity."""
     fields = [sample_field(n, 0.25, substream(seed, i)) for i in range(count)]
     rng = np.random.default_rng(seed)
     special = [FieldSample(n=n, coeffs=np.zeros((n, n, n)), drift=np.zeros(n), sigma2=0.0)]
@@ -112,6 +120,7 @@ def seeded_with_degenerate(n, count, seed):
                                    sigma2=0.25))
         special += [with_circle_double_root(fs, rng.uniform(0.0, 2.0 * math.pi))
                     for fs in fields[:8]]
+        special.append(circle_roots_at_both_infinities())
     else:
         a, ell = rng.standard_normal((2, 3))
         family = np.einsum("i,jk->ijk", a, np.eye(3)) + np.einsum("j,ik->ijk", ell, np.eye(3))
@@ -128,8 +137,8 @@ def seeded_with_degenerate(n, count, seed):
 def solve_stack(fields):
     """Per sample of one batched solve: its flag reason, or the m, positions
     and multipliers of its equilibria."""
-    solve = sphere_field._solve_circle if fields[0].n == 2 else sphere_field._solve_sphere
-    solved = solve(np.stack([fs.coeffs for fs in fields]), np.stack([fs.drift for fs in fields]))
+    solved = sphere_field._solve(np.stack([fs.coeffs for fs in fields]),
+                                 np.stack([fs.drift for fs in fields]))
     bounds = np.cumsum(np.bincount(solved.sample, minlength=len(fields)))[:-1]
     groups = zip(*(np.split(v, bounds) for v in (solved.m, solved.position, solved.lagrange)))
     return [solved.flags[k].reason if k in solved.flags else group
@@ -228,6 +237,54 @@ class TestCircleSolver:
         rng = np.random.default_rng(SEED + 10)
         for _ in range(200):
             assert_antipodal_pairs(find_equilibria_circle(sample_field(2, 0.25, rng)), 2)
+
+    def test_double_roots_are_flagged(self):
+        # A fold (double zero of g) must flag the sample, not be counted once
+        # or twice: the batch-independence stack's eight, and fresh ones.
+        fields = seeded_with_degenerate(2, 2000, SEED + 20)
+        folds = [fields[17 + 151 * k] for k in range(2, 10)]
+        rng = np.random.default_rng(SEED + 14)
+        folds += [with_circle_double_root(sample_field(2, 0.25, rng),
+                                          rng.uniform(0.0, 2.0 * math.pi)) for _ in range(200)]
+        for fs in folds:
+            with pytest.raises(SampleFlaggedError, match="degenerate-root"):
+                find_equilibria_circle(fs)
+
+    def test_roots_at_both_chart_infinities_flagged_without_warnings(self):
+        # No chart has a nonzero leading coefficient, so neither companion
+        # matrix exists; the sample is flagged before any division.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleFlaggedError, match="uncertified"):
+                find_equilibria_circle(circle_roots_at_both_infinities())
+
+    def test_newton_polish_recovers_rotated_roots(self, monkeypatch):
+        # The cubic's roots rarely need a Newton step; rotating each direction
+        # by about 1e-6 rad forces some, which must land back on the same
+        # equilibria, on the circle of radius sqrt(2). The polish stops at
+        # |F| <= _RESIDUAL_TOL, and one quadratic step from 1e-6 rad leaves up
+        # to about 1.2e-10 in position, so positions agree to 1e-9, not to the
+        # last digit.
+        fields = [sample_field(2, 0.25, substream(SEED + 15, i)) for i in range(500)]
+        coeffs = np.stack([fs.coeffs for fs in fields])
+        drift = np.stack([fs.drift for fs in fields])
+        want = sphere_field._solve(coeffs, drift)
+        find = sphere_field._circle_real_roots
+
+        def rotated(coeffs, drift):
+            sid, dirs, flags = find(coeffs, drift)
+            angle = 1e-6 * np.where(np.arange(len(sid)) % 2, 1.0, -1.3)
+            c, s = np.cos(angle), np.sin(angle)
+            x, y = dirs[:, 0], dirs[:, 1]
+            return sid, np.stack([c * x - s * y, s * x + c * y], axis=1), flags
+
+        monkeypatch.setattr(sphere_field, "_circle_real_roots", rotated)
+        got = sphere_field._solve(coeffs, drift)
+        assert not want.flags and not got.flags
+        assert np.array_equal(got.sample, want.sample) and np.array_equal(got.m, want.m)
+        np.testing.assert_allclose(got.position, want.position, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose((got.position ** 2).sum(axis=1), 2.0, rtol=0.0, atol=1e-12)
+        assert np.all(got.residual <= sphere_field._RESIDUAL_TOL)
 
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
