@@ -20,6 +20,7 @@ from .errors import (
 from .gee import log_eigenvalue_density, prob_k_real
 from .montecarlo import (
     DimensionLiftReport,
+    IndexCounts,
     IntervalB,
     MCEstimate,
     TailRatePoint,
@@ -68,6 +69,7 @@ __all__ = [
     "Equilibrium",
     "EquicountError",
     "FieldSample",
+    "IndexCounts",
     "IntervalB",
     "MCEstimate",
     "ModelParams",

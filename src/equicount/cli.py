@@ -58,7 +58,7 @@ from .rates import (
     rate_lagrange_window,
     threshold_tau,
 )
-from .sampling import MCEstimate, derive_seed, z_score
+from .sampling import derive_seed, z_score
 from .sphere_field import field_model_params, oracle_mean_counts
 
 #: Stable per-command stream indices (part of the seeding contract).
@@ -298,11 +298,14 @@ def _cmd_spectral_test(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require_at_least("estimate", "--trials", args.trials, 1)
+    if not 0 <= args.m <= args.n - 1:
+        raise DomainError(f"requires 0 <= m <= n-1, got m={args.m}, n={args.n}")
     p = _model_params(args)
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["estimate"])
     window = IntervalB(_parse_extended(args.lo), _parse_extended(args.hi))
-    est = estimate_equilibria_count(args.n, args.m, p, window, n_trials=args.trials, seed=seed)
+    counts = estimate_equilibria_count(args.n, p, window, n_trials=args.trials, seed=seed)
+    est = counts.per_m[args.m]
     params = {
         "n": args.n, "m": args.m, "phi1": args.phi1, "dphi1": args.dphi1,
         "phi2": args.phi2, "sigma2": args.sigma2, "lo": _fmt(window.lo),
@@ -363,31 +366,24 @@ def _cmd_oracle_compare(args) -> int:
             for eq_index, (_, eq) in enumerate(group)
         ]
         _write_output(args.dump_equilibria, _csv_chunks(config, header, [rows]))
+    counts = estimate_equilibria_count(args.n, p, n_trials=args.trials, seed=derive_seed(seed, 1))
     comparisons = []
-    worst = 0.0
-    total_est_mean = 0.0
-    total_est_var = 0.0
-    for m in range(args.n):
-        est = estimate_equilibria_count(
-            args.n, m, p, n_trials=args.trials, seed=derive_seed(seed, 1 + m)
-        )
-        z = z_score(est, oracle.per_m[m])
-        worst = max(worst, z)
-        total_est_mean += est.mean
-        total_est_var += est.stderr**2
+    for m, est in enumerate(counts.per_m):
+        ref = oracle.per_m[m]
         comparisons.append({
             "m": m, "estimate": est.mean, "estimate_stderr": est.stderr,
-            "oracle": oracle.per_m[m].mean, "oracle_stderr": oracle.per_m[m].stderr,
-            "z_score": z,
+            "oracle": ref.mean, "oracle_stderr": ref.stderr, "z_score": z_score(est, ref),
         })
-    total_est = MCEstimate(total_est_mean, math.sqrt(total_est_var), args.trials, seed)
-    total_z = z_score(total_est, oracle.total)
-    worst = max(worst, total_z)
+    total = {
+        "estimate": counts.total.mean, "estimate_stderr": counts.total.stderr,
+        "oracle": oracle.total.mean, "oracle_stderr": oracle.total.stderr,
+        "z_score": z_score(counts.total, oracle.total),
+    }
+    worst = max(row["z_score"] for row in comparisons + [total])
     params = {
         "n": args.n, "sigma2": args.sigma2, "samples": args.samples,
         "trials": args.trials, "tau": tau, "b": b,
     }
-    total = {"estimate": total_est_mean, "oracle": oracle.total.mean, "z_score": total_z}
     _emit_record(
         args, "oracle-compare", params,
         sidecar=[f"flagged {reason}: {k}" for reason, k in sorted(oracle.flag_reasons.items())],

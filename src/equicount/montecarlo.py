@@ -11,7 +11,10 @@ where L is the eigenvalue of rank m+1 (largest real parts first) of an
 n x n ensemble matrix. The rank is m+1, not m: the identity is assembled
 from the dimension-lift lemma whose right-hand side carries rank m+1, and
 the brute-force sphere count adjudicates the same way (see the acceptance
-suite).
+suite). The ensemble is invariant under X -> -X, which maps the rank-(m+1)
+eigenvalue to minus the rank-(n-m) one with realness kept, so each trial's
+spectrum also gives the mirror reading: rank n-m in -B. The estimator
+averages the two per trial, and reads every m from one pass.
 
 Also here: the dimension-lift identity checker (Monte Carlo on both sides,
 each left-side trial integrated over the shift in closed form), empirical
@@ -24,9 +27,9 @@ the substream contract. At n >= 4 the batches run concurrently on one
 thread per CPU of the affinity mask (``eig_workers``); the contract makes
 every result independent of that, and of each batch being sampled into one
 reused buffer of at most 512 KiB per worker and eigensolved chunk by chunk
-to bound memory. The functionals of one ranked eigenvalue (the estimator,
-the right side of the identity, tail rates, concentration) keep only that
-eigenvalue and its realness per trial (``_ranked_in_window``).
+to bound memory. The functionals of one ranked eigenvalue (the right side
+of the identity, tail rates, concentration) keep only that eigenvalue and
+its realness per trial (``_ranked_in_window``).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .special_functions import rate_function
 
 __all__ = [
     "IntervalB",
+    "IndexCounts",
     "MCEstimate",
     "DimensionLiftReport",
     "TailRatePoint",
@@ -190,19 +194,20 @@ def _ranked_in_window(n: int, tau: float, rank0: int, scale: float, window: Inte
         yield lam, is_real & window.contains(scale * lam)
 
 
-def _count_contributions(
-    n: int,
-    m: int,
-    p: ModelParams,
-    window: IntervalB,
-    n_trials: int,
-    seed: int,
-):
-    """Yield per-trial contributions to E N_m(window), batch by batch; they
-    read the rank-(m+1) eigenvalue, 0-based index m."""
+def _count_contributions(n: int, p: ModelParams, window: IntervalB, n_trials: int, seed: int):
+    """Yield per-trial contributions to E N_m(window) for every m, batch by
+    batch, as (batch, n) arrays with column m for m unstable directions.
+
+    Column m averages two unbiased readings of one spectrum: the weight of
+    the rank-(m+1) eigenvalue L (0-based index m) when it is real with
+    sqrt(dphi1) L in [lo, hi), and, through X -> -X, the weight of the
+    rank-(n-m) eigenvalue L' (index n-1-m) when it is real with
+    -sqrt(dphi1) L' in [lo, hi), that is sqrt(dphi1) L' in (-hi, -lo]. The
+    weight is even in L, so the mirror reuses it.
+    """
     tau, b = derive_tau_b(p)
-    if not 0 <= m <= n - 1:
-        raise DomainError(f"requires 0 <= m <= n-1, got m={m}, n={n}")
+    if n < 1:
+        raise DomainError(f"requires n >= 1, got n={n}")
     # Prefactor and Gaussian taper combined per trial in log domain: b^(1-n)
     # alone overflows long before the product does.
     log_pref = (
@@ -212,24 +217,51 @@ def _count_contributions(
     )
     taper = n * (1.0 - b * b) / (2.0 * (b * b + tau) * (1.0 + tau))
     scale = math.sqrt(p.dphi1)
-    for lam, live in _ranked_in_window(n, tau, m, scale, window, n_trials, seed):
-        yield np.where(live, np.exp(log_pref - taper * lam * lam), 0.0)
+    for values, is_real in _eig_batches(n, tau, n_trials, seed):
+        # One rank at a time, so the temporaries are (batch,) arrays: index k
+        # is the direct reading for m = k and the mirror one for m = n-1-k.
+        contrib = np.zeros((n, len(values)))
+        for k in range(n):
+            lam = values[:, k].real
+            weight = np.where(is_real[:, k], np.exp(log_pref - taper * lam * lam), 0.0)
+            x = scale * lam
+            contrib[k] += np.where(window.contains(x), weight, 0.0)
+            contrib[n - 1 - k] += np.where((x > -window.hi) & (x <= -window.lo), weight, 0.0)
+        contrib *= 0.5
+        yield contrib.T
+
+
+@dataclass(frozen=True)
+class IndexCounts:
+    """Mean equilibrium counts by number of unstable directions, from one
+    ensemble pass: ``per_m[m]`` for m = 0..n-1, and their ``total``. The
+    estimates share trials, so the total's standard error comes from the
+    per-trial row sums, not from the per-m errors."""
+
+    per_m: tuple[MCEstimate, ...]
+    total: MCEstimate
 
 
 def estimate_equilibria_count(
     n: int,
-    m: int,
     p: ModelParams,
     window: IntervalB = FULL_LINE,
     n_trials: int = 100_000,
     seed: int = 0,
-) -> MCEstimate:
-    """Mean number of equilibria with m unstable directions and multiplier in
-    ``window``, on the sphere of dimension n, by ensemble Monte Carlo."""
-    moments = RunningMoments()
-    for contrib in _count_contributions(n, m, p, window, n_trials, seed):
-        moments.add(contrib)
-    return moments.estimate(seed)
+) -> IndexCounts:
+    """Mean number of equilibria with each number m of unstable directions,
+    and in total, with multiplier in ``window``, on the sphere of dimension
+    n, by ensemble Monte Carlo."""
+    per_m = [RunningMoments() for _ in range(n)]
+    total = RunningMoments()
+    for contrib in _count_contributions(n, p, window, n_trials, seed):
+        for moments, column in zip(per_m, contrib.T):
+            moments.add(column)
+        total.add(contrib.sum(axis=1))
+    return IndexCounts(
+        per_m=tuple(moments.estimate(seed) for moments in per_m),
+        total=total.estimate(seed),
+    )
 
 
 @dataclass(frozen=True)
@@ -260,7 +292,7 @@ def _at_ends(f, x: np.ndarray, shared: float) -> np.ndarray:
 def _gaussian_moments(a, b: np.ndarray, c: float, top: int,
                       t_lo: float, t_hi: float) -> list[np.ndarray]:
     """[M_0, ..., M_top] with M_j = int_a^b t^j exp(-c t^2) dt, elementwise,
-    for t_lo <= a <= b <= t_hi; a may be 0-d.
+    for t_lo <= a <= b <= t_hi; a may be 0-d, and either window end infinite.
 
     M_0 comes from erf, as a difference of erfc in whichever tail holds both
     ends so that it does not cancel; the ends equal to t_lo, and those equal
@@ -282,6 +314,9 @@ def _gaussian_moments(a, b: np.ndarray, c: float, top: int,
                        - _at_ends(math.erf, lo[inner], lo_end))
     moments = [0.5 * math.sqrt(math.pi / c) * erf_diff]
     wa, wb = np.exp(-c * a * a), np.exp(-c * b * b)  # t^j exp(-c t^2) at both ends
+    if math.isinf(t_lo) or math.isinf(t_hi):
+        # t^j exp(-c t^2) vanishes at an infinite end, where wa * a would be 0 * inf.
+        a, b = np.where(np.isinf(a), 0.0, a), np.where(np.isinf(b), 0.0, b)
     for j in range(top):
         below = j * moments[j - 1] if j else 0.0
         moments.append((below - (wb - wa)) / (2.0 * c))

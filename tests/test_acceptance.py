@@ -280,7 +280,8 @@ def test_criterion_09_estimator_vs_brute_force(circle_batch):
     total_var = 0.0
     for m in (0, 1):
         oracle = _column_estimate(stack, m, SEED + 9)
-        est = estimate_equilibria_count(2, m, params, FULL_LINE, n_trials=500_000, seed=SEED + 11 + m)
+        counts = estimate_equilibria_count(2, params, FULL_LINE, n_trials=500_000, seed=SEED + 11 + m)
+        est = counts.per_m[m]
         z = z_score(est, oracle)
         ok &= z < 3.0
         total_mean += est.mean

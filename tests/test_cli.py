@@ -158,7 +158,9 @@ class TestEstimateCommand:
 
     def test_numbers_pinned(self, tmp_path):
         # Recorded while the command still took --index-variant (default m+1)
-        # and wrote it into params; the numbers must not move.
+        # and wrote it into params; the numbers must not move. The paired
+        # estimator leaves them as they were: at n = 3 the mirror of rank 2
+        # is rank 2, so on the whole line m = 1 averages one reading with itself.
         code, text = run_to_file(tmp_path, "e.json", [
             "estimate", "--n", "3", "--m", "1", "--phi1", "1", "--dphi1", "2", "--phi2", "0",
             "--sigma2", "0.25", "--trials", "20000", "--seed", "1",
@@ -441,8 +443,10 @@ def test_json_record_top_level_keys(tmp_path, argv, keys):
     (["spectral-test", "--n", "60", "--tau", "1.0", "--trials", "2"], "-1 < tau < 1"),
     (ESTIMATE + ["--trials", "10", "--index-variant", "m"],
      "unrecognized arguments: --index-variant m"),
+    (ESTIMATE + ["--trials", "10", "--m", "3"], "requires 0 <= m <= n-1, got m=3, n=3"),
 ], ids=["verify-trials-1", "estimate-trials-0", "ldp-trials-0", "ldp-n-list-junk",
-        "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1", "estimate-index-variant"])
+        "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1", "estimate-index-variant",
+        "estimate-m-above-n-1"])
 def test_bad_arguments_rejected_before_work(monkeypatch, capsys, argv, bound):
     _refuse_sampling(monkeypatch)
     try:

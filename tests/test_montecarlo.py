@@ -34,8 +34,9 @@ PARAMS = ModelParams(phi1=1.0, dphi1=2.0, phi2=0.0, sigma2=0.25)  # tau=0, b^2=0
 SEED = 777
 
 
-def contributions(window, n_trials=20_000, m=0):
-    return np.concatenate(list(_count_contributions(2, m, PARAMS, window, n_trials, SEED)))
+def contributions(window, n_trials=20_000, n=2):
+    """Per-trial contributions, one column per m."""
+    return np.concatenate(list(_count_contributions(n, PARAMS, window, n_trials, SEED)))
 
 
 class TestSampling:
@@ -173,20 +174,22 @@ class TestIntervalB:
 
 class TestEstimateEquilibriaCount:
     def test_window_beyond_spectrum_is_zero(self):
-        est = estimate_equilibria_count(
-            2, 0, PARAMS, IntervalB(50.0, 50.5), n_trials=5000, seed=SEED
+        counts = estimate_equilibria_count(
+            2, PARAMS, IntervalB(50.0, 50.5), n_trials=5000, seed=SEED
         )
-        assert est.mean == 0.0 and est.stderr == 0.0
+        for est in counts.per_m + (counts.total,):
+            assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_determinism(self):
-        a = estimate_equilibria_count(2, 0, PARAMS, FULL_LINE, n_trials=30_000, seed=SEED)
-        b = estimate_equilibria_count(2, 0, PARAMS, FULL_LINE, n_trials=30_000, seed=SEED)
-        assert (a.mean, a.stderr) == (b.mean, b.stderr)
-        assert a.seed == SEED and a.n_trials == 30_000
+        a = estimate_equilibria_count(2, PARAMS, FULL_LINE, n_trials=30_000, seed=SEED)
+        b = estimate_equilibria_count(2, PARAMS, FULL_LINE, n_trials=30_000, seed=SEED)
+        assert a == b
+        assert all(est.seed == SEED and est.n_trials == 30_000 for est in a.per_m + (a.total,))
 
     def test_per_trial_window_additivity_exact(self):
         # Disjoint adjacent half-open windows partition their union trial by
-        # trial: with shared streams the contribution arrays add exactly.
+        # trial, and so do their mirrors (-0.3, inf) and (-inf, -0.3]: with
+        # shared streams the contribution arrays add exactly.
         left = contributions(IntervalB(-math.inf, 0.3))
         right = contributions(IntervalB(0.3, math.inf))
         union = contributions(FULL_LINE)
@@ -197,9 +200,74 @@ class TestEstimateEquilibriaCount:
         large = contributions(IntervalB(0.0, 2.0))
         assert np.all(small <= large)
 
+    def test_mirror_reads_reflected_window(self):
+        # Column m averages rank m+1 in B with rank n-m in -B, so swapping
+        # B for its mirror (-hi, -lo] swaps the two readings: column m of one
+        # window is column n-1-m of the other (a value on an end, where the
+        # half-open sides differ, has probability zero).
+        ends = (-0.7, 1.3)
+        window = IntervalB(*ends)
+        mirrored = IntervalB(-ends[1], -ends[0])
+        for n in (2, 3):
+            assert np.array_equal(contributions(window, 5000, n),
+                                  contributions(mirrored, 5000, n)[:, ::-1])
+
     def test_index_bounds(self):
+        # One column per m = 0..n-1; the CLI rejects any other m.
+        assert [len(estimate_equilibria_count(n, PARAMS, n_trials=10, seed=SEED).per_m)
+                for n in (1, 2, 3, 4)] == [1, 2, 3, 4]
         with pytest.raises(DomainError):
-            estimate_equilibria_count(2, 2, PARAMS, n_trials=10, seed=SEED)
+            estimate_equilibria_count(0, PARAMS, n_trials=10, seed=SEED)
+
+    def test_total_stderr_from_row_sums(self):
+        # The per-m estimates share trials, so the total's stderr is that of
+        # the per-trial row sums, not the root sum of squares of theirs.
+        stack = contributions(FULL_LINE, 30_000, 3)
+        counts = estimate_equilibria_count(3, PARAMS, FULL_LINE, n_trials=30_000, seed=SEED)
+        rows = stack.sum(axis=1)
+        assert counts.total.mean == pytest.approx(rows.mean(), rel=1e-12)
+        assert counts.total.stderr == pytest.approx(
+            rows.std(ddof=1) / math.sqrt(rows.size), rel=1e-9)
+        for m, est in enumerate(counts.per_m):
+            assert est.mean == pytest.approx(stack[:, m].mean(), rel=1e-12)
+        root_sum_sq = math.sqrt(sum(est.stderr ** 2 for est in counts.per_m))
+        assert counts.total.stderr > 1.2 * root_sum_sq
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mirror_indices_bitwise_equal_on_full_line(self, n):
+        # On the whole line the pairs for m = 0 and m = n-1 are one sum in
+        # either order, so the two estimates agree bit for bit.
+        counts = estimate_equilibria_count(n, PARAMS, FULL_LINE, n_trials=20_000, seed=SEED)
+        assert counts.per_m[0] == counts.per_m[n - 1]
+
+    @pytest.mark.parametrize("n, seed", [(3, SEED), (4, SEED + 1), (5, SEED + 2)])
+    def test_euler_characteristic_one_pass(self, n, seed):
+        # Morse theory on S^(n-1): sum_m (-1)^m N_m = 1 + (-1)^(n-1) for every
+        # field, so the alternating sum of one pass's estimates must match it,
+        # with the stderr of the per-trial alternating row sums. At n = 4 the
+        # even and the odd columns hold the same two terms, so every
+        # alternating row sum cancels exactly.
+        chi = 1 + (-1) ** (n - 1)
+        stack = np.concatenate(list(_count_contributions(n, PARAMS, FULL_LINE, 40_000, seed)))
+        alternating = stack[:, 0::2].sum(axis=1) - stack[:, 1::2].sum(axis=1)
+        est = MCEstimate(float(alternating.mean()),
+                         float(alternating.std(ddof=1) / math.sqrt(alternating.size)),
+                         alternating.size, seed)
+        assert z_score(est, MCEstimate(float(chi), 0.0, 1, seed)) < 3.0
+        if n % 2 == 0:
+            assert not alternating.any()
+        else:
+            assert est.stderr > 0.0
+
+    @pytest.mark.parametrize("phi2", [0.0, 0.6])  # tau = 0 and tau = 0.3
+    def test_zero_sphere_has_two_equilibria(self, phi2):
+        # On S^0 both points are equilibria with m = 0, and at n = 1 the
+        # per-trial weight has expectation exactly 2 for any b and tau.
+        params = ModelParams(phi1=1.0, dphi1=2.0, phi2=phi2, sigma2=0.25)
+        counts = estimate_equilibria_count(1, params, FULL_LINE, n_trials=40_000, seed=SEED)
+        est = counts.per_m[0]
+        assert counts.total == est
+        assert abs(est.mean - 2.0) < 3.0 * est.stderr
 
 
 class TestVerifyDimensionLift:
@@ -289,6 +357,21 @@ class TestGaussianMoments:
         b[:10] = np.linspace(1.0, 2.0, 10)
         _gaussian_moments(np.float64(t_lo), b, self.C, 0, t_lo, t_hi)
         assert len(calls) == 10 + 2  # the unclipped ends, and each window end once
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(-math.inf, 1.0), (-1.0, math.inf),
+                                            (-math.inf, math.inf)])
+    def test_infinite_window_ends_against_quad(self, t_lo, t_hi):
+        # t^j exp(-c t^2) vanishes at an infinite end, where reading it as
+        # wa * a would be 0 * inf, a NaN in every moment from M_1 up.
+        a = np.array([t_lo, t_lo, -0.4, max(t_lo, -2.5)])
+        b = np.array([t_hi, 0.2, t_hi, min(t_hi, 0.8)])
+        for lower in (a, np.float64(t_lo)):
+            got = _gaussian_moments(lower, b, self.C, 4, t_lo, t_hi)
+            for j, moment in enumerate(got):
+                want = [integrate.quad(lambda t: t**j * math.exp(-self.C * t * t), lo, hi,
+                                       epsabs=1e-15, epsrel=1e-13)[0]
+                        for lo, hi in np.broadcast(lower, b)]
+                np.testing.assert_allclose(moment, want, rtol=1e-12, atol=1e-15)
 
 
 class TestLiftIntegrals:

@@ -424,33 +424,35 @@ class TestEstimatorCrossCheckSphere:
         sigma2 = 0.25
         oracle = oracle_mean_counts(3, sigma2, 5000, SEED + 3)
         est = estimate_equilibria_count(
-            3, 0, field_model_params(sigma2), n_trials=400_000, seed=SEED + 4
-        )
+            3, field_model_params(sigma2), n_trials=400_000, seed=SEED + 4
+        ).per_m[0]
         assert z_score(est, oracle.per_m[0]) < 3.0
 
     def test_rank_m_variant_rejected_at_n3(self):
         # Reading rank m instead of m+1 for m = 1 means reading 0-based index
         # 0, the eigenvalue the estimator reads for m = 0 with the same
-        # prefactor and taper, so the estimate at m = 0 is that reading bit
+        # prefactor and taper. The paired m = 0 estimate averages that reading
+        # with its mirror, so it estimates the same mean, though no longer bit
         # for bit. It is decisively incompatible with the direct count of m = 1.
         sigma2 = 0.25
         oracle = oracle_mean_counts(3, sigma2, 1200, SEED + 5)
         rank_m = estimate_equilibria_count(
-            3, 0, field_model_params(sigma2), n_trials=200_000, seed=SEED + 6
-        )
+            3, field_model_params(sigma2), n_trials=200_000, seed=SEED + 6
+        ).per_m[0]
         assert z_score(rank_m, oracle.per_m[1]) > 5.0
 
 
 # sha256 of oracle-compare outputs at --sigma2 0.25 --samples 60 --trials 2000
-# --seed 1, recorded when each sample was still solved on its own; solving
-# samples together must not change a byte.
+# --seed 1, recorded with the paired one-pass estimator (whose record gives
+# the total's two standard errors); the oracle's bytes date from when each
+# sample was still solved on its own.
 ORACLE_ARGV = ["oracle-compare", "--sigma2", "0.25", "--samples", "60", "--trials", "2000",
                "--seed", "1"]
 
 
 @pytest.mark.parametrize("n, digest", [
-    (2, "62a7e420a63f63401803858071b03341d3aaffae786734ad22475a43b26dfaa7"),
-    (3, "11519e85cf055a92c81780250b7372dd9d717bc3560ee3aa5ad55b29ec1fbbad"),
+    (2, "2c3fdad08c1ea8745b2f4cb201d646887c93fa33db4c0ffce7862c40cdbb5381"),
+    (3, "a67ccf9a1b56d6d6fe06be083e6ff4f6402994d9ef5ea80abac77e751bed2227"),
 ])
 def test_oracle_compare_record_bytes_pinned(tmp_path, n, digest):
     out = tmp_path / "oc.json"
@@ -459,14 +461,15 @@ def test_oracle_compare_record_bytes_pinned(tmp_path, n, digest):
 
 
 def test_readme_oracle_compare_n2_record_pinned(tmp_path):
-    # The README's n = 2 command, recorded with the degree-6 companion
-    # circle solver; the cubic solver must not change a byte of the record.
+    # The README's n = 2 command, recorded with the paired one-pass
+    # estimator; the oracle's bytes date from the degree-6 companion circle
+    # solver, which the cubic solver reproduces.
     out = tmp_path / "oc.json"
     argv = ["oracle-compare", "--n", "2", "--sigma2", "0.25", "--samples", "5000",
             "--trials", "200000", "--seed", "1", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b676978a4172e9a1a90fc4878a9e737f14ef0e276234b675303d9613635b65f7")
+        "97206d71b78bd3cc4caf90f75f5af11a206a606664422c7c3e2a07cbf7c97de3")
 
 
 def test_equilibria_dump_bytes_pinned(tmp_path):
