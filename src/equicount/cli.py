@@ -111,12 +111,15 @@ def _parse_extended(text: str) -> float:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """start:stop:count inclusive grid."""
+    """start:stop:count inclusive grid of at least one point."""
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        grid = np.linspace(float(start), float(stop), int(count))
     except ValueError as exc:
         raise DomainError(f"bad grid spec {text!r}; expected start:stop:count") from exc
+    if grid.size < 1:
+        raise DomainError(f"bad grid spec {text!r}; requires count >= 1")
+    return grid
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -333,10 +336,12 @@ def _cmd_verify_uppingdim(args) -> int:
     ]
     _emit_record(args, "verify-uppingdim", params, results=results, z_score=report.z_score)
     # A window the spectra rarely reach gives two near-zero sides whose
-    # z-score passes vacuously.
-    if min(report.lhs_support, report.rhs_support) < MIN_HITS:
+    # z-score passes vacuously. Each right-side reading must carry its own
+    # support, so pairing does not loosen the gate.
+    if min(report.lhs_support, report.rhs_support, report.rhs_mirror_support) < MIN_HITS:
         print(f"equicount: verify-uppingdim gate lacks support: {report.lhs_support} lhs and "
-              f"{report.rhs_support} rhs contributing trials, needs >= {MIN_HITS} on each side",
+              f"{report.rhs_support} rhs contributing trials, {report.rhs_mirror_support} on "
+              f"the rhs mirror reading; needs >= {MIN_HITS} on each",
               file=sys.stderr)
         return EXIT_NO_SUPPORT
     return 0 if report.z_score < Z_GATE else EXIT_GATE_FAILED

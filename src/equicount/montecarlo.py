@@ -17,10 +17,10 @@ spectrum also gives the mirror reading: rank n-m in -B. The estimator
 averages the two per trial, and reads every m from one pass.
 
 Also here: the dimension-lift identity checker (Monte Carlo on both sides,
-each left-side trial integrated over the shift in closed form), empirical
-tail-rate estimation for the large-deviation law, the elliptic-law
-Kolmogorov-Smirnov check, and the concentration proxy for the bulk-ranked
-eigenvalue.
+each left-side trial integrated over the shift in closed form, each
+right-side trial paired with its mirror), empirical tail-rate estimation for
+the large-deviation law, the elliptic-law Kolmogorov-Smirnov check, and the
+concentration proxy for the bulk-ranked eigenvalue (paired too).
 
 Everything is deterministic given (seed, n_trials); see ``sampling`` for
 the substream contract. At n >= 4 the batches run concurrently on one
@@ -28,8 +28,9 @@ thread per CPU of the affinity mask (``eig_workers``); the contract makes
 every result independent of that, and of each batch being sampled into one
 reused buffer of at most 512 KiB per worker and eigensolved chunk by chunk
 to bound memory. The functionals of one ranked eigenvalue (the right side
-of the identity, tail rates, concentration) keep only that eigenvalue and
-its realness per trial (``_ranked_in_window``).
+of the identity, tail rates, concentration) keep only that eigenvalue, its
+mirror and their realness per trial (``_ranked_in_window``); tail rates read
+the direct eigenvalue alone.
 """
 
 from __future__ import annotations
@@ -115,28 +116,29 @@ def _sample_buffer(n: int, n_trials: int, batch_size: int) -> np.ndarray:
 
 
 def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.ndarray,
-               rank0: int | None = None):
+               ranks: int | list[int] | None = None):
     """Ordered eigenvalues and realness of batch ``index``, drawn from
     ``substream(seed, index)`` into ``buf`` and eigensolved one chunk of
-    ``len(buf)`` matrices at a time; only the column of 0-based rank
-    ``rank0`` is kept, when given.
+    ``len(buf)`` matrices at a time; when given, ``ranks`` selects the
+    columns kept by 0-based rank: an int keeps a (take,) column, a list a
+    (take, len(ranks)) block.
 
     The sampler consumes the stream in order and the eigensolver works matrix
     by matrix, so the values are bitwise those of one whole-batch draw. A
-    batch of one chunk hands over the eigensolver's arrays (or a view of
-    their column) as they are; the results never alias ``buf``.
+    batch of one chunk hands over the eigensolver's arrays (or their kept
+    columns) as they are; the results never alias ``buf``.
     """
     rng = substream(seed, index)
-    shape = (take, n) if rank0 is None else (take,)
     values = is_real = None
     for start in range(0, take, len(buf)):
         mats = sample_gee_entries(n, tau, rng, min(len(buf), take - start), out=buf)
         part_values, part_real = eigvals_batch(mats)
-        if rank0 is not None:
-            part_values, part_real = part_values[:, rank0], part_real[:, rank0]
+        if ranks is not None:
+            part_values, part_real = part_values[:, ranks], part_real[:, ranks]
         if len(mats) == take:
             return part_values, part_real
         if values is None:
+            shape = (take, *part_values.shape[1:])
             values, is_real = np.empty(shape, dtype=complex), np.empty(shape, dtype=bool)
         part = slice(start, start + len(mats))
         values[part], is_real[part] = part_values, part_real
@@ -144,14 +146,15 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
 
 
 def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
-                 batch_size: int = DEFAULT_BATCH_SIZE, rank0: int | None = None):
+                 batch_size: int = DEFAULT_BATCH_SIZE, ranks: int | list[int] | None = None):
     """Yield (ordered eigenvalues, realness) of each batch, in batch order:
-    (batch, n) arrays, or the (batch,) column of 0-based rank ``rank0``.
+    (batch, n) arrays, or the columns ``ranks`` selects (see ``_eig_batch``).
 
     Batch j draws from ``substream(seed, j)``, so its values do not depend on
     which thread computes it. Each worker draws its chunks into one reused
     buffer of at most 512 KiB, so a batch in flight holds that buffer and its
-    result: the (batch, n) spectrum, or with ``rank0`` one value per trial.
+    result: the (batch, n) spectrum, or with ``ranks`` one value per trial
+    and kept rank.
     With more than one worker the batches run on a thread pool (numpy's
     sampler and eigensolver release the GIL), at most ``eig_workers(n)`` in
     flight; an error in a batch is raised here, and closing the generator
@@ -162,7 +165,7 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
     if workers == 1:
         buf = _sample_buffer(n, n_trials, batch_size)
         for index, take in batches:
-            yield _eig_batch(n, tau, seed, index, take, buf, rank0)
+            yield _eig_batch(n, tau, seed, index, take, buf, ranks)
         return
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -172,7 +175,7 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
     def run(index, take):
         if not hasattr(local, "buf"):
             local.buf = _sample_buffer(n, n_trials, batch_size)
-        return _eig_batch(n, tau, seed, index, take, local.buf, rank0)
+        return _eig_batch(n, tau, seed, index, take, local.buf, ranks)
 
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
@@ -186,12 +189,21 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
 
 def _ranked_in_window(n: int, tau: float, rank0: int, scale: float, window: IntervalB,
                       n_trials: int, seed: int, batch_size: int = DEFAULT_BATCH_SIZE):
-    """Yield, batch by batch, the real part of the eigenvalue at 0-based rank
-    ``rank0`` and the mask of trials where it is real with scale * value in
-    ``window``."""
-    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size, rank0):
-        lam = values.real
-        yield lam, is_real & window.contains(scale * lam)
+    """Yield, batch by batch, two (2, batch) arrays: readings and the mask of
+    trials where a reading is real with scale * reading in ``window``.
+
+    Row 0 is the direct reading, the real part of the eigenvalue at 0-based
+    rank ``rank0``. Row 1 is its mirror: X -> -X maps that eigenvalue to
+    minus the one at rank n-1-rank0, realness kept, so -Re l_(n-rank0) has
+    the same law and is tested in the same window. Only those one or two
+    columns of each spectrum are kept.
+    """
+    mirror0 = n - 1 - rank0
+    ranks = [rank0] if mirror0 == rank0 else [rank0, mirror0]
+    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size, ranks):
+        re = values.real
+        lam = np.stack((re[:, 0], -re[:, -1]))
+        yield lam, np.stack((is_real[:, 0], is_real[:, -1])) & window.contains(scale * lam)
 
 
 def _count_contributions(n: int, p: ModelParams, window: IntervalB, n_trials: int, seed: int):
@@ -267,7 +279,8 @@ def estimate_equilibria_count(
 @dataclass(frozen=True)
 class DimensionLiftReport:
     """Both sides of the dimension-lift identity with their discrepancy, and
-    the number of trials contributing a nonzero value to each side.
+    the number of trials contributing a nonzero value to the left side and
+    to each of the right side's two readings (direct and mirror).
     ``quadrature_panels`` is 1: each trial's t-integral is one exact piece."""
 
     lhs: MCEstimate
@@ -276,6 +289,7 @@ class DimensionLiftReport:
     quadrature_panels: int
     lhs_support: int
     rhs_support: int
+    rhs_mirror_support: int
 
 
 def _at_ends(f, x: np.ndarray, shared: float) -> np.ndarray:
@@ -374,12 +388,15 @@ def verify_dimension_lift(
       = Gamma(n/2) sqrt(2)^n sqrt(1+tau) / sqrt(n-1)^n
             * E_n[ 1{rank-(m+1) eigenvalue real} f(sqrt(n) * that eigenvalue) ]
 
-    for f the indicator of ``window``. Both sides are plain Monte Carlo on
+    for f the indicator of ``window``. Both sides are Monte Carlo on
     independent streams, reduced batch by batch: the left side over
     (n-1) x (n-1) matrices, with each trial's t-integral in closed form (see
-    ``_lift_integrals``), the right side over n x n matrices. Returns both
-    estimates, their z-score and the number of contributing trials on each
-    side.
+    ``_lift_integrals``), the right side over n x n matrices. Each right-side
+    trial averages the direct reading with its X -> -X mirror, the real
+    rank-(n-m) eigenvalue negated and tested in the same window (see
+    ``_ranked_in_window``). Returns both estimates, their z-score and the
+    number of contributing trials on the left side and on each right-side
+    reading.
     """
     if n < 2:
         raise DomainError(f"requires n >= 2, got n={n}")
@@ -412,16 +429,17 @@ def verify_dimension_lift(
     const = math.exp(log_const)
     root_n = math.sqrt(n)
     rhs_moments = RunningMoments()
-    rhs_support = 0
+    rhs_support = np.zeros(2, dtype=np.int64)  # direct, mirror
     # Rank m+1 is 0-based index m.
     for _, live in _ranked_in_window(n, tau, m, root_n, window, n_trials, seed_rhs):
-        rhs_moments.add(np.where(live, const, 0.0))
-        rhs_support += int(live.sum())
+        rhs_moments.add(live.sum(axis=0) * (0.5 * const))
+        rhs_support += live.sum(axis=1)
     rhs = rhs_moments.estimate(seed_rhs)
 
     return DimensionLiftReport(
         lhs=lhs, rhs=rhs, z_score=z_score(lhs, rhs), quadrature_panels=1,
-        lhs_support=lhs_support, rhs_support=rhs_support,
+        lhs_support=lhs_support, rhs_support=int(rhs_support[0]),
+        rhs_mirror_support=int(rhs_support[1]),
     )
 
 
@@ -463,7 +481,7 @@ def empirical_tail_rate(
     out = []
     for i, n in enumerate(n_list):
         batches = _ranked_in_window(n, tau, m - 1, 1.0, tail, n_trials, derive_seed(seed, i))
-        hits = sum(int(live.sum()) for _, live in batches)
+        hits = sum(int(live[0].sum()) for _, live in batches)  # direct reading only
         rate_hat = math.inf if hits == 0 else -math.log(hits / n_trials) / n
         out.append(TailRatePoint(
             n=n, rate_hat=rate_hat, hits=hits, n_trials=n_trials,
@@ -507,7 +525,11 @@ def concentration_miss_fractions(
     seed: int,
 ) -> list[tuple[int, float]]:
     """Fraction of trials where the rank-ceil(gamma n) real part leaves
-    (s_gamma - eps, s_gamma + eps); concentration makes this decay in n."""
+    (s_gamma - eps, s_gamma + eps); concentration makes this decay in n.
+
+    Each trial averages that miss indicator with its X -> -X mirror's: minus
+    the real part of rank n+1-ceil(gamma n), tested against the same
+    interval (see ``_ranked_in_window``)."""
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"requires 0 < gamma < 1, got gamma={gamma}")
     if not epsilon > 0.0:
@@ -520,5 +542,5 @@ def concentration_miss_fractions(
             raise DomainError(f"ceil(gamma n) out of range for n={n}")
         batches = _ranked_in_window(n, tau, rank0, 1.0, FULL_LINE, n_trials, derive_seed(seed, i))
         missed = sum(int(((re <= s - epsilon) | (re >= s + epsilon)).sum()) for re, _ in batches)
-        out.append((n, missed / n_trials))
+        out.append((n, missed / (2 * n_trials)))
     return out

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -261,13 +262,31 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "0 lhs and 0 rhs contributing trials" in err
 
+    def test_mirror_reading_needs_its_own_support(self, tmp_path, monkeypatch, capsys):
+        # Pairing must not loosen the gate: a right side whose mirror reading
+        # has 29 contributing trials fails however many the direct one has.
+        real = cli.verify_dimension_lift
+
+        def short_mirror(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), rhs_mirror_support=29)
+
+        monkeypatch.setattr(cli, "verify_dimension_lift", short_mirror)
+        code, _ = run_to_file(
+            tmp_path, "v.json",
+            ["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3",
+             "--trials", "20000", "--seed", "7"],
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "29 on the rhs mirror reading; needs >= 30 on each" in err
+
     def test_bytes_pinned(self, tmp_path):
-        # Digest recorded while verify_dimension_lift took a batch_size.
+        # Digest recorded once the right side averaged each trial with its mirror.
         out = tmp_path / "v.json"
         assert main(["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3",
                      "--trials", "20000", "--seed", "7", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7d22e4edcfe960d88438668564aa7c09cc21e1390c5413a0b310927e0c2198c3")
+            "3c322ebc8f33cd75be19159adae65d100c30f4988cceaf56574d014e86cd3776")
 
 
 class TestOracleCompareCommand:
@@ -444,13 +463,20 @@ def test_json_record_top_level_keys(tmp_path, argv, keys):
     (ESTIMATE + ["--trials", "10", "--index-variant", "m"],
      "unrecognized arguments: --index-variant m"),
     (ESTIMATE + ["--trials", "10", "--m", "3"], "requires 0 <= m <= n-1, got m=3, n=3"),
+    (["rates", "--b-grid", "0.1:0.9:0", "--tau", "0"], "'0.1:0.9:0'; requires count >= 1"),
+    (["rates", "--b", "0.5", "--tau-grid", "0:0.5:0"], "'0:0.5:0'; requires count >= 1"),
+    (["rates", "--b", "0.5", "--tau", "0", "--gamma-grid", "0.1:0.5:0"],
+     "'0.1:0.5:0'; requires count >= 1"),
+    (["threshold-curve", "--b-grid", "0.1:0.9:0"], "'0.1:0.9:0'; requires count >= 1"),
 ], ids=["verify-trials-1", "estimate-trials-0", "ldp-trials-0", "ldp-n-list-junk",
         "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1", "estimate-index-variant",
-        "estimate-m-above-n-1"])
+        "estimate-m-above-n-1", "rates-b-grid-0", "rates-tau-grid-0", "rates-gamma-grid-0",
+        "threshold-b-grid-0"])
 def test_bad_arguments_rejected_before_work(monkeypatch, capsys, argv, bound):
     _refuse_sampling(monkeypatch)
+    seed = [] if argv[0] in ("rates", "threshold-curve") else ["--seed", "4"]  # seedless commands
     try:
-        code = main(argv + ["--seed", "4"])
+        code = main(argv + seed)
         kind = "parameter constraint violated"
     except SystemExit as exc:  # argparse's usage error
         code, kind = exc.code, "usage: equicount"

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, special
 
 from equicount import montecarlo
+from equicount.ellipse import tail_quantile
 from equicount.errors import DomainError, EigensolverError
 from equicount.gee import eigvals_batch, sample_gee_entries
 from equicount.montecarlo import (
@@ -27,7 +28,9 @@ from equicount.montecarlo import (
     _count_contributions,
 )
 from equicount.rates import ModelParams
-from equicount.sampling import MCEstimate, batch_sizes, derive_seed, substream, z_score
+from equicount.sampling import (
+    MCEstimate, RunningMoments, batch_sizes, derive_seed, substream, z_score,
+)
 from equicount.special_functions import rate_function
 
 PARAMS = ModelParams(phi1=1.0, dphi1=2.0, phi2=0.0, sigma2=0.25)  # tau=0, b^2=0.625
@@ -303,6 +306,71 @@ class TestVerifyDimensionLift:
     def test_m_bounds(self):
         with pytest.raises(DomainError):
             verify_dimension_lift(3, 3, 0.0, IntervalB(1.0, 1.4), n_trials=100, seed=SEED)
+
+
+def lift_constant(n, tau):
+    """The right side's constant, Gamma(n/2) sqrt(2)^n sqrt(1+tau) / sqrt(n-1)^n."""
+    return math.gamma(n / 2.0) * 2.0 ** (n / 2.0) * math.sqrt(1.0 + tau) / (n - 1.0) ** (n / 2.0)
+
+
+def direct_only_rhs(n, m, tau, window, n_trials, seed):
+    """The right side from the rank-(m+1) reading alone, without its mirror,
+    on the trials ``verify_dimension_lift(..., seed=seed)`` draws."""
+    moments = RunningMoments()
+    const = lift_constant(n, tau)
+    for _, live in _ranked_in_window(n, tau, m, math.sqrt(n), window, n_trials,
+                                     derive_seed(seed, 1)):
+        moments.add(np.where(live[0], const, 0.0))
+    return moments.estimate(seed)
+
+
+class TestMirrorReadings:
+    """Each ranked reading paired with its X -> -X mirror: the same law, read
+    from the same spectrum at rank n-m, so a smaller error at no extra
+    eigensolve."""
+
+    @pytest.mark.parametrize("n, rank0", [(3, 1), (4, 1), (5, 3), (1, 0)])
+    def test_rows_are_direct_column_and_negated_mirror(self, n, rank0):
+        window = IntervalB(-0.3, 0.5)
+        ranked = _ranked_in_window(n, 0.3, rank0, 1.5, window, 5000, SEED, 4096)
+        for (lam, live), (values, is_real) in zip(ranked, _eig_batches(n, 0.3, 5000, SEED, 4096)):
+            mirror0 = n - 1 - rank0
+            assert np.array_equal(lam[0], values[:, rank0].real)
+            assert np.array_equal(lam[1], -values[:, mirror0].real)
+            assert np.array_equal(live[0], is_real[:, rank0] & window.contains(1.5 * lam[0]))
+            assert np.array_equal(live[1], is_real[:, mirror0] & window.contains(1.5 * lam[1]))
+
+    @pytest.mark.parametrize("n, m, window", [
+        (4, 1, IntervalB(0.2, 0.8)),
+        (5, 3, IntervalB(-1.0, -0.2)),
+    ])
+    def test_paired_rhs_agrees_with_direct_where_columns_differ(self, n, m, window):
+        report = verify_dimension_lift(n, m, 0.3, window, n_trials=60_000, seed=SEED + 20)
+        direct = direct_only_rhs(n, m, 0.3, window, 60_000, SEED + 21)
+        assert min(report.rhs_support, report.rhs_mirror_support) > 1000
+        assert z_score(report.rhs, direct) < 3.0
+
+    def test_paired_rhs_stderr_cut_at_benchmark_point(self):
+        """n = 3, m = 1, tau = 0.3, [1, 1.4): both readings are the middle
+        eigenvalue, one at +x and one at -x, so at most one hits per trial."""
+        window = IntervalB(1.0, 1.4)
+        report = verify_dimension_lift(3, 1, 0.3, window, n_trials=200_000, seed=SEED + 22)
+        direct = direct_only_rhs(3, 1, 0.3, window, 200_000, SEED + 22)
+        assert report.rhs.stderr <= 0.8 * direct.stderr
+        assert z_score(report.rhs, direct) < 3.0
+
+    def test_paired_concentration_agrees_with_direct(self):
+        n, gamma, tau, n_trials, epsilon = 50, 0.25, 0.0, 2000, 0.1
+        paired = concentration_miss_fractions([n], gamma, tau, n_trials, epsilon, SEED + 23)[0][1]
+        s = tail_quantile(gamma, tau)
+        ranked = _ranked_in_window(n, tau, math.ceil(gamma * n) - 1, 1.0, FULL_LINE, n_trials,
+                                   derive_seed(SEED + 24, 0))
+        direct = sum(int((abs(lam[0] - s) >= epsilon).sum()) for lam, _ in ranked) / n_trials
+        # The paired variance is at most the direct one, so sqrt(2) binomial
+        # errors bound the combined error.
+        sigma = math.sqrt(2.0 * direct * (1.0 - direct) / n_trials)
+        assert 0.0 < direct < 1.0
+        assert abs(paired - direct) < 3.0 * sigma
 
 
 class TestGaussianMoments:
