@@ -10,9 +10,10 @@ gate (z >= 3 in verification commands), 4 I/O error, 5 insufficient support
 (too few contributing trials for the gate to mean anything), 6 numerical
 failure (an eigensolver or quadrature failure, or every field sample flagged).
 
-Seeding: the master seed (--seed, default from EQUICOUNT_SEED or 0) is mapped
-to a per-command stream, which estimators split into per-batch substreams by
-index. Reimplementations can match trial counts, though not bit streams.
+Seeding: the master seed (--seed, else EQUICOUNT_SEED, else 0; exit 2 if
+not an integer) is mapped to a per-command stream, which estimators split
+into per-batch substreams by index. Reimplementations can match trial
+counts, though not bit streams.
 
 Serialization of infinities: CSV uses the literals "inf" / "-inf"; JSON uses
 the tagged form {"kind": "-inf"} rather than a sentinel float.
@@ -442,11 +443,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Equilibrium-count rates and elliptic-ensemble verification experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    default_seed = int(os.environ.get("EQUICOUNT_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer (--seed, or EQUICOUNT_SEED without it)") from None
+
     def common(sp, trials_default=100_000):
-        sp.add_argument("--seed", type=int, default=default_seed)
+        # argparse type-converts a string default only when --seed is absent.
+        sp.add_argument("--seed", type=seed, default=os.environ.get("EQUICOUNT_SEED", "0"))
         sp.add_argument("--trials", type=int, default=trials_default)
         sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
 

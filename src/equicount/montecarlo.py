@@ -27,10 +27,10 @@ the substream contract. At n >= 4 the batches run concurrently on one
 thread per CPU of the affinity mask (``eig_workers``); the contract makes
 every result independent of that, and of each batch being sampled into one
 reused buffer of at most 512 KiB per worker and eigensolved chunk by chunk
-to bound memory. The functionals of one ranked eigenvalue (the right side
-of the identity, tail rates, concentration) keep only that eigenvalue, its
-mirror and their realness per trial (``_ranked_in_window``); tail rates read
-the direct eigenvalue alone.
+to bound memory. The functionals of one ranked eigenvalue keep only the
+columns they read: the identity's right side and concentration keep that
+eigenvalue, its mirror (``_readings``) and their realness, tail rates one
+eigenvalue and one flag per trial (68 KiB per 4096-trial batch).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -116,12 +117,11 @@ def _sample_buffer(n: int, n_trials: int, batch_size: int) -> np.ndarray:
 
 
 def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.ndarray,
-               ranks: int | list[int] | None = None):
+               ranks: list[int] | None = None):
     """Ordered eigenvalues and realness of batch ``index``, drawn from
     ``substream(seed, index)`` into ``buf`` and eigensolved one chunk of
-    ``len(buf)`` matrices at a time; when given, ``ranks`` selects the
-    columns kept by 0-based rank: an int keeps a (take,) column, a list a
-    (take, len(ranks)) block.
+    ``len(buf)`` matrices at a time; when given, ``ranks`` lists the 0-based
+    ranks kept, as a (take, len(ranks)) block.
 
     The sampler consumes the stream in order and the eigensolver works matrix
     by matrix, so the values are bitwise those of one whole-batch draw. A
@@ -138,7 +138,7 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
         if len(mats) == take:
             return part_values, part_real
         if values is None:
-            shape = (take, *part_values.shape[1:])
+            shape = (take, part_values.shape[1])
             values, is_real = np.empty(shape, dtype=complex), np.empty(shape, dtype=bool)
         part = slice(start, start + len(mats))
         values[part], is_real[part] = part_values, part_real
@@ -146,7 +146,7 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
 
 
 def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
-                 batch_size: int = DEFAULT_BATCH_SIZE, ranks: int | list[int] | None = None):
+                 batch_size: int = DEFAULT_BATCH_SIZE, ranks: list[int] | None = None):
     """Yield (ordered eigenvalues, realness) of each batch, in batch order:
     (batch, n) arrays, or the columns ``ranks`` selects (see ``_eig_batch``).
 
@@ -187,60 +187,47 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
             yield pending.popleft().result()
 
 
-def _ranked_in_window(n: int, tau: float, rank0: int, scale: float, window: IntervalB,
-                      n_trials: int, seed: int, batch_size: int = DEFAULT_BATCH_SIZE):
-    """Yield, batch by batch, two (2, batch) arrays: readings and the mask of
-    trials where a reading is real with scale * reading in ``window``.
-
-    Row 0 is the direct reading, the real part of the eigenvalue at 0-based
-    rank ``rank0``. Row 1 is its mirror: X -> -X maps that eigenvalue to
-    minus the one at rank n-1-rank0, realness kept, so -Re l_(n-rank0) has
-    the same law and is tested in the same window. Only those one or two
-    columns of each spectrum are kept.
-    """
-    mirror0 = n - 1 - rank0
-    ranks = [rank0] if mirror0 == rank0 else [rank0, mirror0]
-    for values, is_real in _eig_batches(n, tau, n_trials, seed, batch_size, ranks):
-        re = values.real
-        lam = np.stack((re[:, 0], -re[:, -1]))
-        yield lam, np.stack((is_real[:, 0], is_real[:, -1])) & window.contains(scale * lam)
+def _readings(values: np.ndarray, is_real: np.ndarray):
+    """The direct reading (Re l, realness) of ordered spectrum columns and
+    the mirror one (-Re l, realness) of the reversed columns. X -> -X keeps
+    the ensemble's law and maps 0-based rank r to minus rank n-1-r, realness
+    kept, so column j of both has one law and is tested in the same window.
+    Reversal must map rank r to n-1-r: a whole spectrum, the kept pair
+    [k, n-1-k] in that order, or [k] alone when k is the middle rank."""
+    re = values.real
+    return (re, is_real), (-re[:, ::-1], is_real[:, ::-1])
 
 
 def _count_contributions(n: int, p: ModelParams, window: IntervalB, n_trials: int, seed: int):
     """Yield per-trial contributions to E N_m(window) for every m, batch by
-    batch, as (batch, n) arrays with column m for m unstable directions.
-
-    Column m averages two unbiased readings of one spectrum: the weight of
-    the rank-(m+1) eigenvalue L (0-based index m) when it is real with
-    sqrt(dphi1) L in [lo, hi), and, through X -> -X, the weight of the
-    rank-(n-m) eigenvalue L' (index n-1-m) when it is real with
-    -sqrt(dphi1) L' in [lo, hi), that is sqrt(dphi1) L' in (-hi, -lo]. The
-    weight is even in L, so the mirror reuses it.
+    batch, as (batch, n) arrays with column m for m unstable directions:
+    the mean weight of the direct and the mirror reading at index m (see
+    ``_readings``), each counted when real with sqrt(dphi1) times it in ``window``.
     """
     tau, b = derive_tau_b(p)
     if n < 1:
         raise DomainError(f"requires n >= 1, got n={n}")
     # Prefactor and Gaussian taper combined per trial in log domain: b^(1-n)
     # alone overflows long before the product does.
-    log_pref = (
-        math.log(2.0)
-        + 0.5 * (math.log1p(tau) - math.log(b * b + tau))
-        + (1.0 - n) * math.log(b)
-    )
+    log_pref = (math.log(2.0) + 0.5 * (math.log1p(tau) - math.log(b * b + tau))
+                + (1.0 - n) * math.log(b))
     taper = n * (1.0 - b * b) / (2.0 * (b * b + tau) * (1.0 + tau))
     scale = math.sqrt(p.dphi1)
-    for values, is_real in _eig_batches(n, tau, n_trials, seed):
-        # One rank at a time, so the temporaries are (batch,) arrays: index k
-        # is the direct reading for m = k and the mirror one for m = n-1-k.
+
+    def contributions(values, is_real):
+        (lam, real), (mirror, _) = _readings(values, is_real)
+        # One rank at a time, so the temporaries are (batch,) arrays.
         contrib = np.zeros((n, len(values)))
         for k in range(n):
-            lam = values[:, k].real
-            weight = np.where(is_real[:, k], np.exp(log_pref - taper * lam * lam), 0.0)
-            x = scale * lam
-            contrib[k] += np.where(window.contains(x), weight, 0.0)
-            contrib[n - 1 - k] += np.where((x > -window.hi) & (x <= -window.lo), weight, 0.0)
+            j = n - 1 - k  # the mirror reading at j is rank k negated; the weight is even
+            weight = np.where(real[:, k], np.exp(log_pref - taper * lam[:, k] * lam[:, k]), 0.0)
+            contrib[k] += np.where(window.contains(scale * lam[:, k]), weight, 0.0)
+            contrib[j] += np.where(window.contains(scale * mirror[:, j]), weight, 0.0)
         contrib *= 0.5
-        yield contrib.T
+        return contrib.T
+
+    # A batch's spectrum and readings are freed before the next one is drawn.
+    yield from starmap(contributions, _eig_batches(n, tau, n_trials, seed))
 
 
 @dataclass(frozen=True)
@@ -394,7 +381,7 @@ def verify_dimension_lift(
     ``_lift_integrals``), the right side over n x n matrices. Each right-side
     trial averages the direct reading with its X -> -X mirror, the real
     rank-(n-m) eigenvalue negated and tested in the same window (see
-    ``_ranked_in_window``). Returns both estimates, their z-score and the
+    ``_readings``). Returns both estimates, their z-score and the
     number of contributing trials on the left side and on each right-side
     reading.
     """
@@ -420,18 +407,16 @@ def verify_dimension_lift(
         lhs_support += int(live.sum())
     lhs = lhs_moments.estimate(seed_lhs)
 
-    log_const = (
-        math.lgamma(n / 2.0)
-        + 0.5 * n * math.log(2.0)
-        + 0.5 * math.log1p(tau)
-        - 0.5 * n * math.log(n - 1.0)
-    )
-    const = math.exp(log_const)
+    const = math.exp(math.lgamma(n / 2.0) + 0.5 * n * math.log(2.0) + 0.5 * math.log1p(tau)
+                     - 0.5 * n * math.log(n - 1.0))
     root_n = math.sqrt(n)
     rhs_moments = RunningMoments()
     rhs_support = np.zeros(2, dtype=np.int64)  # direct, mirror
-    # Rank m+1 is 0-based index m.
-    for _, live in _ranked_in_window(n, tau, m, root_n, window, n_trials, seed_rhs):
+    # Rank m+1 is 0-based index m; keep it and its mirror rank n-1-m, in that order.
+    ranks = list(dict.fromkeys((m, n - 1 - m)))
+    for batch in _eig_batches(n, tau, n_trials, seed_rhs, ranks=ranks):
+        live = np.stack([real[:, 0] & window.contains(root_n * re[:, 0])
+                         for re, real in _readings(*batch)])
         rhs_moments.add(live.sum(axis=0) * (0.5 * const))
         rhs_support += live.sum(axis=1)
     rhs = rhs_moments.estimate(seed_rhs)
@@ -477,11 +462,11 @@ def empirical_tail_rate(
         if not m <= n:
             raise DomainError(f"requires m <= n, got m={m}, n={n}")
     reference = m * rate_function(x, tau)
-    tail = IntervalB(x, math.inf)
     out = []
     for i, n in enumerate(n_list):
-        batches = _ranked_in_window(n, tau, m - 1, 1.0, tail, n_trials, derive_seed(seed, i))
-        hits = sum(int(live[0].sum()) for _, live in batches)  # direct reading only
+        # Rank m is 0-based index m-1, the one column kept.
+        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=[m - 1])
+        hits = sum(int((real[:, 0] & (values[:, 0].real >= x)).sum()) for values, real in batches)
         rate_hat = math.inf if hits == 0 else -math.log(hits / n_trials) / n
         out.append(TailRatePoint(
             n=n, rate_hat=rate_hat, hits=hits, n_trials=n_trials,
@@ -529,7 +514,7 @@ def concentration_miss_fractions(
 
     Each trial averages that miss indicator with its X -> -X mirror's: minus
     the real part of rank n+1-ceil(gamma n), tested against the same
-    interval (see ``_ranked_in_window``)."""
+    interval (see ``_readings``)."""
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"requires 0 < gamma < 1, got gamma={gamma}")
     if not epsilon > 0.0:
@@ -540,7 +525,9 @@ def concentration_miss_fractions(
         rank0 = math.ceil(gamma * n) - 1
         if not 0 <= rank0 < n:
             raise DomainError(f"ceil(gamma n) out of range for n={n}")
-        batches = _ranked_in_window(n, tau, rank0, 1.0, FULL_LINE, n_trials, derive_seed(seed, i))
-        missed = sum(int(((re <= s - epsilon) | (re >= s + epsilon)).sum()) for re, _ in batches)
+        ranks = list(dict.fromkeys((rank0, n - 1 - rank0)))
+        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=ranks)
+        missed = sum(int(((re[:, 0] <= s - epsilon) | (re[:, 0] >= s + epsilon)).sum())
+                     for batch in batches for re, _ in _readings(*batch))
         out.append((n, missed / (2 * n_trials)))
     return out

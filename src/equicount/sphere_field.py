@@ -547,6 +547,8 @@ def oracle_mean_counts(
     Equilibrium) pair for every retained equilibrium (CSV dumps).
     Flagged-sample reasons and the exclusion rate are reported.
     """
+    if n_samples < 1:
+        raise DomainError(f"oracle_mean_counts requires n_samples >= 1, got {n_samples}")
     counts = [np.empty((0, n))]
     reasons: dict[str, int] = {}
     for start in range(0, n_samples, _BLOCK):

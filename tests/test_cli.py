@@ -347,6 +347,42 @@ class TestOracleCompareCommand:
         assert "constraint" in err and bound in err
 
 
+class TestSeedEnvironment:
+    """EQUICOUNT_SEED is the default of --seed: only a command that takes a
+    seed and is run without --seed reads it."""
+
+    SAMPLE = ["sample-gee", "--n", "2", "--tau", "0", "--trials", "3"]
+
+    def test_bad_value_leaves_other_commands_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EQUICOUNT_SEED", "abc")
+        code, _ = run_to_file(tmp_path, "r.csv", ["rates", "--b", "0.5", "--tau", "0"])
+        assert code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+
+    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("EQUICOUNT_SEED", "abc")
+        with pytest.raises(SystemExit) as info:
+            main(self.SAMPLE)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "EQUICOUNT_SEED" in err and "'abc'" in err
+
+    def test_flag_overrides_bad_value(self, tmp_path, monkeypatch):
+        want = run_to_file(tmp_path, "want.csv", self.SAMPLE + ["--seed", "3"])
+        monkeypatch.setenv("EQUICOUNT_SEED", "abc")
+        assert run_to_file(tmp_path, "got.csv", self.SAMPLE + ["--seed", "3"]) == want
+
+    def test_valid_value_matches_flag(self, tmp_path, monkeypatch):
+        out = tmp_path / "flag.csv"
+        assert main(self.SAMPLE + ["--seed", "7", "--out", str(out)]) == 0
+        monkeypatch.setenv("EQUICOUNT_SEED", "7")
+        code, text = run_to_file(tmp_path, "env.csv", self.SAMPLE)
+        assert code == 0 and text.encode() == out.read_bytes()
+        assert text != run_to_file(tmp_path, "zero.csv", self.SAMPLE + ["--seed", "0"])[1]
+
+
 class TestSGammaCommand:
     def test_round_trip(self, tmp_path):
         code, text = run_to_file(

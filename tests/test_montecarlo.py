@@ -19,7 +19,7 @@ from equicount.montecarlo import (
     _eig_batches,
     _gaussian_moments,
     _lift_integrals,
-    _ranked_in_window,
+    _readings,
     concentration_miss_fractions,
     empirical_spectral_test,
     empirical_tail_rate,
@@ -27,7 +27,7 @@ from equicount.montecarlo import (
     verify_dimension_lift,
     _count_contributions,
 )
-from equicount.rates import ModelParams
+from equicount.rates import ModelParams, derive_tau_b
 from equicount.sampling import (
     MCEstimate, RunningMoments, batch_sizes, derive_seed, substream, z_score,
 )
@@ -94,18 +94,19 @@ class TestEigBatches:
         *((100, tau, n_trials) for tau in (0.0, 0.3) for n_trials in (1, 7, 13)),
     ])
     def test_matches_inline_loop_bitwise(self, monkeypatch, n, tau, n_trials):
-        """On the pool and on the one-worker path, whole spectra and the
-        column of one rank; batches of n >= 40 span several chunks (40
-        matrices at n = 40, 6 at n = 100)."""
+        """On the pool and on the one-worker path, whole spectra, the column
+        of one rank and a mirror pair of ranks, kept in the order asked for;
+        batches of n >= 40 span several chunks (40 matrices at n = 40, 6 at
+        n = 100)."""
         want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
         for workers in (3, 1):
             monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
-            for rank0 in (None, 0, n // 2, n - 1):
-                got = list(_eig_batches(n, tau, n_trials, SEED, 4096, rank0))
+            for ranks in (None, [0], [n // 2], [n - 1], [n - 2, 1]):
+                got = list(_eig_batches(n, tau, n_trials, SEED, 4096, ranks))
                 assert len(got) == len(want)
                 for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
-                    if rank0 is not None:
-                        values_ref, is_real_ref = values_ref[:, rank0], is_real_ref[:, rank0]
+                    if ranks is not None:
+                        values_ref, is_real_ref = values_ref[:, ranks], is_real_ref[:, ranks]
                     assert values.shape == values_ref.shape
                     assert np.array_equal(bits(values), bits(values_ref))
                     assert np.array_equal(is_real, is_real_ref)
@@ -127,13 +128,15 @@ class TestEigBatches:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ranked_memory_is_buffers_and_one_column(self, monkeypatch, workers):
         """A ranked batch in flight holds one reused 512 KiB sample buffer per
-        worker and one value per trial; whole (4096, 40) spectra would be
-        2.5 MiB each."""
+        worker and one value per trial and kept rank, read here as the tail
+        rate reads one rank and the identity's right side a mirror pair;
+        whole (4096, 40) spectra would be 2.5 MiB each."""
         monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
         tracemalloc.start()
         try:
-            for _ in _ranked_in_window(40, 0.0, 0, 1.0, FULL_LINE, 8192, SEED, 4096):
-                pass
+            for ranks in ([0], [0, 39]):
+                for batch in _eig_batches(40, 0.0, 8192, SEED, 4096, ranks):
+                    _readings(*batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,6 +276,44 @@ class TestEstimateEquilibriaCount:
         assert abs(est.mean - 2.0) < 3.0 * est.stderr
 
 
+def reference_contributions(n, p, window, n_trials, seed):
+    """The count estimator's per-trial columns from its earlier per-rank
+    loop, whose mirror reading had its own mask: rank k in (-hi, -lo]."""
+    tau, b = derive_tau_b(p)
+    log_pref = (
+        math.log(2.0)
+        + 0.5 * (math.log1p(tau) - math.log(b * b + tau))
+        + (1.0 - n) * math.log(b)
+    )
+    taper = n * (1.0 - b * b) / (2.0 * (b * b + tau) * (1.0 + tau))
+    scale = math.sqrt(p.dphi1)
+    out = []
+    for values, is_real in _eig_batches(n, tau, n_trials, seed):
+        contrib = np.zeros((n, len(values)))
+        for k in range(n):
+            lam = values[:, k].real
+            weight = np.where(is_real[:, k], np.exp(log_pref - taper * lam * lam), 0.0)
+            x = scale * lam
+            contrib[k] += np.where(window.contains(x), weight, 0.0)
+            contrib[n - 1 - k] += np.where((x > -window.hi) & (x <= -window.lo), weight, 0.0)
+        contrib *= 0.5
+        out.append(contrib.T)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("window", [
+    FULL_LINE, IntervalB(-0.7, 1.3), IntervalB(0.4, math.inf), IntervalB(-math.inf, 0.0),
+], ids=["whole-line", "straddling-0", "one-sided", "end-at-0"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_count_contributions_match_reference_bitwise(n, window):
+    # 5000 trials: a full batch and a ragged one; tau = 0.3.
+    params = ModelParams(phi1=1.0, dphi1=2.0, phi2=0.6, sigma2=0.25)
+    got = np.concatenate(list(_count_contributions(n, params, window, 5000, SEED)))
+    want = reference_contributions(n, params, window, 5000, SEED)
+    assert got.shape == want.shape == (5000, n)
+    assert np.array_equal(bits(got), bits(want))
+
+
 class TestVerifyDimensionLift:
     def test_empty_window_both_sides_zero(self):
         report = verify_dimension_lift(
@@ -318,9 +359,9 @@ def direct_only_rhs(n, m, tau, window, n_trials, seed):
     on the trials ``verify_dimension_lift(..., seed=seed)`` draws."""
     moments = RunningMoments()
     const = lift_constant(n, tau)
-    for _, live in _ranked_in_window(n, tau, m, math.sqrt(n), window, n_trials,
-                                     derive_seed(seed, 1)):
-        moments.add(np.where(live[0], const, 0.0))
+    for values, is_real in _eig_batches(n, tau, n_trials, derive_seed(seed, 1), ranks=[m]):
+        live = is_real[:, 0] & window.contains(math.sqrt(n) * values[:, 0].real)
+        moments.add(np.where(live, const, 0.0))
     return moments.estimate(seed)
 
 
@@ -331,14 +372,23 @@ class TestMirrorReadings:
 
     @pytest.mark.parametrize("n, rank0", [(3, 1), (4, 1), (5, 3), (1, 0)])
     def test_rows_are_direct_column_and_negated_mirror(self, n, rank0):
-        window = IntervalB(-0.3, 0.5)
-        ranked = _ranked_in_window(n, 0.3, rank0, 1.5, window, 5000, SEED, 4096)
-        for (lam, live), (values, is_real) in zip(ranked, _eig_batches(n, 0.3, 5000, SEED, 4096)):
-            mirror0 = n - 1 - rank0
-            assert np.array_equal(lam[0], values[:, rank0].real)
-            assert np.array_equal(lam[1], -values[:, mirror0].real)
-            assert np.array_equal(live[0], is_real[:, rank0] & window.contains(1.5 * lam[0]))
-            assert np.array_equal(live[1], is_real[:, mirror0] & window.contains(1.5 * lam[1]))
+        # Read from the kept pair [rank0, n-1-rank0] (or the middle rank
+        # alone), column 0 of the readings is the direct column and the
+        # negated mirror column of the whole spectrum, realness kept; read
+        # from the whole spectrum, every column is.
+        mirror0 = n - 1 - rank0
+        kept = list(dict.fromkeys((rank0, mirror0)))
+        pairs = _eig_batches(n, 0.3, 5000, SEED, 4096, kept)
+        for batch, (values, is_real) in zip(pairs, _eig_batches(n, 0.3, 5000, SEED, 4096)):
+            (lam, real), (mirror, mirror_real) = _readings(*batch)
+            assert np.array_equal(lam[:, 0], values[:, rank0].real)
+            assert np.array_equal(mirror[:, 0], -values[:, mirror0].real)
+            assert np.array_equal(real[:, 0], is_real[:, rank0])
+            assert np.array_equal(mirror_real[:, 0], is_real[:, mirror0])
+            (lam, real), (mirror, mirror_real) = _readings(values, is_real)
+            assert np.array_equal(lam, values.real) and np.array_equal(real, is_real)
+            assert np.array_equal(mirror, -values.real[:, ::-1])
+            assert np.array_equal(mirror_real, is_real[:, ::-1])
 
     @pytest.mark.parametrize("n, m, window", [
         (4, 1, IntervalB(0.2, 0.8)),
@@ -363,9 +413,10 @@ class TestMirrorReadings:
         n, gamma, tau, n_trials, epsilon = 50, 0.25, 0.0, 2000, 0.1
         paired = concentration_miss_fractions([n], gamma, tau, n_trials, epsilon, SEED + 23)[0][1]
         s = tail_quantile(gamma, tau)
-        ranked = _ranked_in_window(n, tau, math.ceil(gamma * n) - 1, 1.0, FULL_LINE, n_trials,
-                                   derive_seed(SEED + 24, 0))
-        direct = sum(int((abs(lam[0] - s) >= epsilon).sum()) for lam, _ in ranked) / n_trials
+        ranked = _eig_batches(n, tau, n_trials, derive_seed(SEED + 24, 0),
+                              ranks=[math.ceil(gamma * n) - 1])
+        direct = sum(int((abs(values[:, 0].real - s) >= epsilon).sum())
+                     for values, _ in ranked) / n_trials
         # The paired variance is at most the direct one, so sqrt(2) binomial
         # errors bound the combined error.
         sigma = math.sqrt(2.0 * direct * (1.0 - direct) / n_trials)
@@ -494,6 +545,20 @@ class TestEmpiricalTailRate:
     def test_insufficient_hits_flagged(self):
         pts = empirical_tail_rate([12], 1, 2.6, 0.0, 300, SEED)
         assert not pts[0].sufficient
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_reads_one_rank(self, monkeypatch, m):
+        # The tail reads rank m alone; no mirror column is kept at n = 10.
+        seen = []
+        batch = montecarlo._eig_batch
+
+        def recording(n, tau, seed, index, take, buf, ranks=None):
+            seen.append(ranks)
+            return batch(n, tau, seed, index, take, buf, ranks)
+
+        monkeypatch.setattr(montecarlo, "_eig_batch", recording)
+        empirical_tail_rate([10], m, 1.2, 0.0, 5000, SEED)
+        assert seen == [[m - 1]] * 2
 
     def test_zero_hits_rate_infinite(self):
         pts = empirical_tail_rate([12], 1, 5.0, 0.0, 50, SEED)

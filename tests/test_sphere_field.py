@@ -360,6 +360,17 @@ class TestOracleBatch:
         assert out.n_retained + sum(out.flag_reasons.values()) == 400
         assert 0.0 <= out.flagged_rate < 0.01
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_is_a_domain_error(self, monkeypatch, n_samples):
+        # Too few samples is a parameter error (exit 2), not a numerical
+        # failure (exit 6), and is rejected before any field is drawn.
+        def no_field(*args):
+            raise AssertionError("a field was drawn before n_samples was checked")
+
+        monkeypatch.setattr(sphere_field, "sample_field", no_field)
+        with pytest.raises(DomainError, match="n_samples >= 1"):
+            oracle_mean_counts(2, 0.25, n_samples, 1)
+
     @pytest.mark.parametrize("n, samples, totals", [
         (3, 200, [330, 260, 330]),
         (2, 400, [642, 642]),
