@@ -17,7 +17,7 @@ from .errors import (
     QuadratureToleranceError,
     SampleFlaggedError,
 )
-from .gee import log_eigenvalue_density, prob_k_real
+from .gee import log_eigenvalue_density
 from .montecarlo import (
     DimensionLiftReport,
     IndexCounts,
@@ -28,6 +28,7 @@ from .montecarlo import (
     empirical_spectral_test,
     empirical_tail_rate,
     estimate_equilibria_count,
+    prob_k_real,
     verify_dimension_lift,
 )
 from .rates import (

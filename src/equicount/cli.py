@@ -60,7 +60,7 @@ from .rates import (
     threshold_tau,
 )
 from .sampling import derive_seed, z_score
-from .sphere_field import field_model_params, oracle_mean_counts
+from .sphere_field import DIRECTION_FINDERS, field_model_params, oracle_mean_counts
 
 #: Stable per-command stream indices (part of the seeding contract).
 _COMMAND_STREAMS = {
@@ -101,14 +101,6 @@ def _fmt(value: float) -> str:
     if math.isinf(value):
         return "-inf" if value < 0 else "inf"
     return repr(float(value))
-
-
-def _parse_extended(text: str) -> float:
-    if text in ("-inf", "-infinity"):
-        return -math.inf
-    if text in ("inf", "infinity", "+inf"):
-        return math.inf
-    return float(text)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -307,7 +299,7 @@ def _cmd_estimate(args) -> int:
     p = _model_params(args)
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["estimate"])
-    window = IntervalB(_parse_extended(args.lo), _parse_extended(args.hi))
+    window = IntervalB(float(args.lo), float(args.hi))
     counts = estimate_equilibria_count(args.n, p, window, n_trials=args.trials, seed=seed)
     est = counts.per_m[args.m]
     params = {
@@ -417,8 +409,7 @@ def _cmd_ldp_tail(args) -> int:
 
 
 def _cmd_lagrange_rates(args) -> int:
-    c = _parse_extended(args.c)
-    d = _parse_extended(args.d)
+    c, d = float(args.c), float(args.d)
     result = rate_lagrange_window(args.b, args.tau, args.dphi1, args.m, c, d)
     config = {
         "command": "lagrange-rates", "b": args.b, "tau": args.tau,
@@ -519,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_uppingdim)
 
     sp = sub.add_parser("oracle-compare", help="ensemble estimator vs brute-force sphere count")
-    sp.add_argument("--n", type=int, choices=(2, 3), required=True)
+    sp.add_argument("--n", type=int, choices=DIRECTION_FINDERS, required=True)
     sp.add_argument("--sigma2", type=float, required=True)
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--dump-equilibria", default=None, metavar="PATH",

@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, EigensolverError
-from .sampling import MCEstimate
 from .special_functions import log_erfc, log_norm_constant
 
 
@@ -262,15 +261,9 @@ def log_eigenvalue_density(sigmas, xs, ys, n: int, tau: float) -> float:
     Returns -inf when two spectrum points coincide. tau = 1 is rejected: the
     density needs 1 - tau^2 > 0.
     """
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if sigmas.size == 0:
-        sigmas = sigmas.reshape(0)
-    if xs.size == 0:
-        xs = xs.reshape(0)
-    if ys.size == 0:
-        ys = ys.reshape(0)
+    sigmas = np.asarray(sigmas, dtype=float).ravel()
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
     k = sigmas.size
     if xs.size != ys.size:
         raise DomainError(f"xs and ys must have equal length, got {xs.size} and {ys.size}")
@@ -299,28 +292,3 @@ def log_eigenvalue_density(sigmas, xs, ys, n: int, tau: float) -> float:
     pair_factor = 0.5 * (n - k) * math.log(2.0)
     return -log_norm_constant(n, tau) + pair_factor + log_vandermonde + log_weight
 
-
-def prob_k_real(
-    n: int,
-    tau: float,
-    n_trials: int,
-    seed: int,
-) -> list[MCEstimate]:
-    """Empirical distribution of the number of real eigenvalues.
-
-    Returns estimates indexed by k = 0..n (parity-impossible k have mean 0);
-    standard errors are binomial.
-    """
-    if n < 1:
-        raise DomainError(f"prob_k_real requires n >= 1, got {n}")
-    from .montecarlo import _eig_batches  # montecarlo imports this module
-
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for _, is_real in _eig_batches(n, tau, n_trials, seed):
-        counts += np.bincount(is_real.sum(axis=1), minlength=n + 1)
-    out = []
-    for k in range(n + 1):
-        p_hat = counts[k] / n_trials
-        stderr = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
-        out.append(MCEstimate(mean=float(p_hat), stderr=float(stderr), n_trials=n_trials, seed=seed))
-    return out

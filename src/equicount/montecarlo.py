@@ -19,18 +19,21 @@ averages the two per trial, and reads every m from one pass.
 Also here: the dimension-lift identity checker (Monte Carlo on both sides,
 each left-side trial integrated over the shift in closed form, each
 right-side trial paired with its mirror), empirical tail-rate estimation for
-the large-deviation law, the elliptic-law Kolmogorov-Smirnov check, and the
-concentration proxy for the bulk-ranked eigenvalue (paired too).
+the large-deviation law, the elliptic-law Kolmogorov-Smirnov check, the
+concentration proxy for the bulk-ranked eigenvalue (paired too), and the
+count of real eigenvalues.
 
-Everything is deterministic given (seed, n_trials); see ``sampling`` for
-the substream contract. At n >= 4 the batches run concurrently on one
-thread per CPU of the affinity mask (``eig_workers``); the contract makes
-every result independent of that, and of each batch being sampled into one
-reused buffer of at most 512 KiB per worker and eigensolved chunk by chunk
-to bound memory. The functionals of one ranked eigenvalue keep only the
-columns they read: the identity's right side and concentration keep that
-eigenvalue, its mirror (``_readings``) and their realness, tail rates one
-eigenvalue and one flag per trial (68 KiB per 4096-trial batch).
+All read their spectra from one batch driver, ``_eig_batches``, and are
+deterministic given (seed, n_trials); see ``sampling`` for the substream
+contract. At n >= 4 the batches run concurrently, on one thread per CPU of
+the affinity mask (``eig_workers``) but no more than there are batches; the
+contract makes every result independent of that, and of each batch being
+sampled into one of the driver's reused 512 KiB buffers, one per worker,
+and eigensolved chunk by chunk to bound memory. The functionals of one
+ranked eigenvalue keep only the columns they read: the identity's right
+side and concentration keep that eigenvalue, its mirror (``_readings``)
+and their realness, tail rates one eigenvalue and one flag per trial
+(68 KiB per 4096-trial batch).
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 
 import numpy as np
@@ -69,6 +74,7 @@ __all__ = [
     "empirical_tail_rate",
     "empirical_spectral_test",
     "concentration_miss_fractions",
+    "prob_k_real",
 ]
 
 
@@ -94,8 +100,8 @@ MIN_HITS = 30
 
 
 def eig_workers(n: int) -> int:
-    """Threads ``_eig_batches`` spreads batches of n x n matrices over: one per
-    CPU in the affinity mask at LAPACK sizes (n >= 4), one for the closed
+    """Most threads ``_eig_batches`` spreads batches of n x n matrices over: one
+    per CPU in the affinity mask at LAPACK sizes (n >= 4), one for the closed
     forms, whose batches are too cheap to gain from threads."""
     if n <= 3:
         return 1
@@ -107,13 +113,6 @@ def eig_workers(n: int) -> int:
 #: Matrix entries sampled and eigensolved at a time within a batch (512 KiB):
 #: 40 matrices at n = 40, one from n = 256 on, a whole batch at n <= 3.
 _CHUNK_ENTRIES = 1 << 16
-
-
-def _sample_buffer(n: int, n_trials: int, batch_size: int) -> np.ndarray:
-    """A (rows, n, n) stack for ``_eig_batch`` to draw its chunks into: one
-    chunk of at most _CHUNK_ENTRIES entries, no more rows than a batch."""
-    rows = min(max(1, _CHUNK_ENTRIES // (n * n)), batch_size, n_trials)
-    return np.empty((rows, n, n))
 
 
 def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.ndarray,
@@ -151,40 +150,35 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
     (batch, n) arrays, or the columns ``ranks`` selects (see ``_eig_batch``).
 
     Batch j draws from ``substream(seed, j)``, so its values do not depend on
-    which thread computes it. Each worker draws its chunks into one reused
-    buffer of at most 512 KiB, so a batch in flight holds that buffer and its
-    result: the (batch, n) spectrum, or with ``ranks`` one value per trial
-    and kept rank.
-    With more than one worker the batches run on a thread pool (numpy's
-    sampler and eigensolver release the GIL), at most ``eig_workers(n)`` in
-    flight; an error in a batch is raised here, and closing the generator
-    early waits for the batches in flight. The buffers go with the generator.
+    which thread computes it. The batches run on min(``eig_workers(n)``,
+    batch count) workers. The driver owns one sample buffer of at most
+    512 KiB per worker; batch j draws into buffer j mod workers, and is
+    queued only after batch j - workers is handed over, so a batch in flight
+    holds a buffer and its result: the (batch, n) spectrum, or with ``ranks``
+    one value per trial and kept rank. One worker runs a queued batch when
+    its turn comes; more run on a thread pool (numpy's sampler and
+    eigensolver release the GIL). An error in a batch is raised here, and
+    closing the generator early waits for the batches in flight.
     """
-    batches = batch_sizes(n_trials, batch_size)
-    workers = eig_workers(n)
-    if workers == 1:
-        buf = _sample_buffer(n, n_trials, batch_size)
-        for index, take in batches:
-            yield _eig_batch(n, tau, seed, index, take, buf, ranks)
-        return
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+    batches = list(batch_sizes(n_trials, batch_size))
+    workers = min(eig_workers(n), len(batches))
+    rows = min(max(1, _CHUNK_ENTRIES // (n * n)), batch_size, n_trials)
+    bufs = [np.empty((rows, n, n)) for _ in range(workers)]
+    pool = nullcontext()
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    local = threading.local()
-
-    def run(index, take):
-        if not hasattr(local, "buf"):
-            local.buf = _sample_buffer(n, n_trials, batch_size)
-        return _eig_batch(n, tau, seed, index, take, local.buf, ranks)
-
-    with ThreadPoolExecutor(workers) as pool:
+        pool = ThreadPoolExecutor(workers)
+    with pool:
         pending = deque()
         for index, take in batches:
-            pending.append(pool.submit(run, index, take))
+            args = (n, tau, seed, index, take, bufs[index % workers], ranks)
+            pending.append(partial(_eig_batch, *args) if workers == 1
+                           else pool.submit(_eig_batch, *args).result)
             if len(pending) == workers:
-                yield pending.popleft().result()
+                yield pending.popleft()()
         while pending:
-            yield pending.popleft().result()
+            yield pending.popleft()()
 
 
 def _readings(values: np.ndarray, is_real: np.ndarray):
@@ -192,8 +186,9 @@ def _readings(values: np.ndarray, is_real: np.ndarray):
     the mirror one (-Re l, realness) of the reversed columns. X -> -X keeps
     the ensemble's law and maps 0-based rank r to minus rank n-1-r, realness
     kept, so column j of both has one law and is tested in the same window.
-    Reversal must map rank r to n-1-r: a whole spectrum, the kept pair
-    [k, n-1-k] in that order, or [k] alone when k is the middle rank."""
+    The columns must be a whole spectrum or the kept pair [k, n-1-k], in
+    that order (k twice for the middle rank), so the reversed columns are
+    the mirror readings."""
     re = values.real
     return (re, is_real), (-re[:, ::-1], is_real[:, ::-1])
 
@@ -293,7 +288,7 @@ def _at_ends(f, x: np.ndarray, shared: float) -> np.ndarray:
 def _gaussian_moments(a, b: np.ndarray, c: float, top: int,
                       t_lo: float, t_hi: float) -> list[np.ndarray]:
     """[M_0, ..., M_top] with M_j = int_a^b t^j exp(-c t^2) dt, elementwise,
-    for t_lo <= a <= b <= t_hi; a may be 0-d, and either window end infinite.
+    for t_lo <= a <= b <= t_hi, a finite window; a may be 0-d.
 
     M_0 comes from erf, as a difference of erfc in whichever tail holds both
     ends so that it does not cancel; the ends equal to t_lo, and those equal
@@ -315,9 +310,6 @@ def _gaussian_moments(a, b: np.ndarray, c: float, top: int,
                        - _at_ends(math.erf, lo[inner], lo_end))
     moments = [0.5 * math.sqrt(math.pi / c) * erf_diff]
     wa, wb = np.exp(-c * a * a), np.exp(-c * b * b)  # t^j exp(-c t^2) at both ends
-    if math.isinf(t_lo) or math.isinf(t_hi):
-        # t^j exp(-c t^2) vanishes at an infinite end, where wa * a would be 0 * inf.
-        a, b = np.where(np.isinf(a), 0.0, a), np.where(np.isinf(b), 0.0, b)
     for j in range(top):
         below = j * moments[j - 1] if j else 0.0
         moments.append((below - (wb - wa)) / (2.0 * c))
@@ -413,8 +405,7 @@ def verify_dimension_lift(
     rhs_moments = RunningMoments()
     rhs_support = np.zeros(2, dtype=np.int64)  # direct, mirror
     # Rank m+1 is 0-based index m; keep it and its mirror rank n-1-m, in that order.
-    ranks = list(dict.fromkeys((m, n - 1 - m)))
-    for batch in _eig_batches(n, tau, n_trials, seed_rhs, ranks=ranks):
+    for batch in _eig_batches(n, tau, n_trials, seed_rhs, ranks=[m, n - 1 - m]):
         live = np.stack([real[:, 0] & window.contains(root_n * re[:, 0])
                          for re, real in _readings(*batch)])
         rhs_moments.add(live.sum(axis=0) * (0.5 * const))
@@ -501,6 +492,21 @@ def empirical_spectral_test(
     return float(np.maximum(np.abs(steps_hi - cdf), np.abs(steps_lo - cdf)).max())
 
 
+def prob_k_real(n: int, tau: float, n_trials: int, seed: int) -> list[MCEstimate]:
+    """Empirical distribution of the number of real eigenvalues.
+
+    Returns estimates indexed by k = 0..n (parity-impossible k have mean 0);
+    standard errors are binomial.
+    """
+    if n < 1:
+        raise DomainError(f"prob_k_real requires n >= 1, got {n}")
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for _, is_real in _eig_batches(n, tau, n_trials, seed):
+        counts += np.bincount(is_real.sum(axis=1), minlength=n + 1)
+    return [MCEstimate(mean=float(p), stderr=math.sqrt(p * (1.0 - p) / n_trials),
+                       n_trials=n_trials, seed=seed) for p in counts / n_trials]
+
+
 def concentration_miss_fractions(
     n_list,
     gamma: float,
@@ -525,8 +531,7 @@ def concentration_miss_fractions(
         rank0 = math.ceil(gamma * n) - 1
         if not 0 <= rank0 < n:
             raise DomainError(f"ceil(gamma n) out of range for n={n}")
-        ranks = list(dict.fromkeys((rank0, n - 1 - rank0)))
-        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=ranks)
+        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=[rank0, n - 1 - rank0])
         missed = sum(int(((re[:, 0] <= s - epsilon) | (re[:, 0] >= s + epsilon)).sum())
                      for batch in batches for re, _ in _readings(*batch))
         out.append((n, missed / (2 * n_trials)))

@@ -8,9 +8,10 @@ the generator ``substream(seed, j)``, possibly in consecutive pieces that
 consume it in order, and reductions run in batch order. The public
 estimators' results are therefore bit-identical for a given
 (seed, n_trials) regardless of how batches are split or scheduled:
-``montecarlo._eig_batches`` draws each in chunks into a reused buffer of at
-most 512 KiB per worker, computes them concurrently at LAPACK sizes and
-hands them over in batch order. Derived seeds for
+``montecarlo._eig_batches`` draws each in chunks into a buffer of at most
+512 KiB that it owns and reuses (one per worker), computes them concurrently
+at LAPACK sizes on no more workers than there are batches, and hands them
+over in batch order. Derived seeds for
 independent sub-tasks (e.g. the two sides of an identity check) come from
 ``derive_seed``.
 """

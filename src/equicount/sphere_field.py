@@ -86,8 +86,8 @@ class FieldSample:
     sigma2: float
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise DomainError(f"FieldSample supports n in (2, 3), got {self.n}")
+        if self.n not in DIRECTION_FINDERS:
+            raise DomainError(f"FieldSample supports n in {tuple(DIRECTION_FINDERS)}, got {self.n}")
         if self.coeffs.shape != (self.n,) * 3 or self.drift.shape != (self.n,):
             raise DomainError("coeffs must be (n, n, n) and drift (n,)")
 
@@ -109,8 +109,8 @@ def field_model_params(sigma2: float) -> ModelParams:
 
 def sample_field(n: int, sigma2: float, rng: np.random.Generator) -> FieldSample:
     """Draw the tensor (entry variance 1/n^2) and the drift (variance sigma2)."""
-    if n not in (2, 3):
-        raise DomainError(f"sample_field supports n in (2, 3), got {n}")
+    if n not in DIRECTION_FINDERS:
+        raise DomainError(f"sample_field supports n in {tuple(DIRECTION_FINDERS)}, got {n}")
     if sigma2 < 0.0:
         raise DomainError(f"sigma2 must be >= 0, got {sigma2}")
     coeffs = rng.standard_normal((n, n, n)) / n
@@ -366,6 +366,11 @@ def _sphere_real_roots(coeffs: np.ndarray, drift: np.ndarray):
     return sid, np.concatenate([np.empty((0, 3))] + [d for _, d in found]), flags
 
 
+#: The oracle's sphere sizes n, each with its direction finder: the one
+#: place that says which n the oracle solves.
+DIRECTION_FINDERS = {2: _circle_real_roots, 3: _sphere_real_roots}
+
+
 # ---------------------------------------------------------------------------
 # Both n: polish and classify the real directions
 # ---------------------------------------------------------------------------
@@ -410,8 +415,7 @@ def _solve(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
     any check is flagged rather than returned as a silently short list.
     """
     size, n = coeffs.shape[:2]
-    find = _circle_real_roots if n == 2 else _sphere_real_roots
-    sid, dirs, flags = find(coeffs, drift)
+    sid, dirs, flags = DIRECTION_FINDERS[n](coeffs, drift)
     # Each real direction is an antipodal pair of equilibria: a sample's
     # directions, then their antipodes.
     sid = np.concatenate([sid, sid])
@@ -453,21 +457,23 @@ def _solve(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
     return _Solved(sid[kept], xs[kept], ms[kept], lam[kept], residual[kept], flags.errors)
 
 
-def find_equilibria_circle(fs: FieldSample) -> list[Equilibrium]:
-    """All equilibria on the circle, a sample's directions then their
-    antipodes: a batch of one; raises SampleFlaggedError for a flagged
-    sample."""
-    if fs.n != 2:
-        raise DomainError("find_equilibria_circle requires n = 2")
+def _find_equilibria(fs: FieldSample, n: int, name: str) -> list[Equilibrium]:
+    """All equilibria of ``fs``, which ``name`` takes at size n only: its
+    directions then their antipodes, solved as a batch of one; raises
+    SampleFlaggedError for a flagged sample."""
+    if fs.n != n:
+        raise DomainError(f"{name} requires n = {n}")
     return _solve(fs.coeffs[None], fs.drift[None]).single()
+
+
+def find_equilibria_circle(fs: FieldSample) -> list[Equilibrium]:
+    """All equilibria on the circle (see ``_find_equilibria``)."""
+    return _find_equilibria(fs, 2, "find_equilibria_circle")
 
 
 def find_equilibria_sphere(fs: FieldSample) -> list[Equilibrium]:
-    """All equilibria on the 2-sphere: a batch of one; raises
-    SampleFlaggedError for a flagged sample."""
-    if fs.n != 3:
-        raise DomainError("find_equilibria_sphere requires n = 3")
-    return _solve(fs.coeffs[None], fs.drift[None]).single()
+    """All equilibria on the 2-sphere (see ``_find_equilibria``)."""
+    return _find_equilibria(fs, 3, "find_equilibria_sphere")
 
 
 @lru_cache(maxsize=16)

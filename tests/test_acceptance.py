@@ -22,7 +22,6 @@ from equicount.ellipse import tail_mass, tail_quantile
 from equicount.errors import SampleFlaggedError
 from equicount.gee import (
     log_eigenvalue_density,
-    prob_k_real,
     sample_gee_entries,
 )
 from equicount.montecarlo import (
@@ -32,6 +31,7 @@ from equicount.montecarlo import (
     empirical_spectral_test,
     empirical_tail_rate,
     estimate_equilibria_count,
+    prob_k_real,
     verify_dimension_lift,
 )
 from equicount.rates import (

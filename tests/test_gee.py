@@ -19,9 +19,9 @@ from equicount.gee import (
     _order_key,
     eigvals_batch,
     log_eigenvalue_density,
-    prob_k_real,
     sample_gee_entries,
 )
+from equicount.montecarlo import prob_k_real
 from equicount.sampling import batch_sizes, substream
 
 SEED = 31337

@@ -42,6 +42,8 @@ def test_no_scipy_import(tmp_path):
         import sys
         sys.path.insert(0, {source!r})
         import equicount, equicount.cli
+        # The batch driver's thread pool is imported only when it runs.
+        assert "concurrent.futures" not in sys.modules
         code = equicount.cli.main(["verify-uppingdim", "--n", "3", "--m", "1", "--tau", "0.3",
                                    "--trials", "3000", "--seed", "7",
                                    "--out", {str(tmp_path / "lift.json")!r}])
