@@ -2,10 +2,13 @@
 
 Determinism: identical invocations produce byte-identical data files. Data
 files never carry timestamps; a run timestamp goes to a ``<out>.log`` sidecar
-when writing to a file. Every output embeds the resolved parameters (and the
-derived (tau, b) where applicable) so results are self-describing.
+when writing to a file. Every output embeds its parameters, so results are
+self-describing: the parsed arguments less those that say where or how output
+goes, plus the derived (tau, b) where applicable. A JSON record moves the
+command to ``op`` and the master seed to the top level.
 
-Exit codes: 0 success, 2 parameter-constraint violation, 3 failed statistical
+Exit codes: 0 success, 2 parameter-constraint violation or usage error (a
+non-numeric or non-finite value among them), 3 failed statistical
 gate (z >= 3 in verification commands), 4 I/O error, 5 insufficient support
 (too few contributing trials for the gate to mean anything), 6 numerical
 failure (an eigensolver or quadrature failure, or every field sample flagged).
@@ -15,8 +18,9 @@ not an integer) is mapped to a per-command stream, which estimators split
 into per-batch substreams by index. Reimplementations can match trial
 counts, though not bit streams.
 
-Serialization of infinities: CSV uses the literals "inf" / "-inf"; JSON uses
-the tagged form {"kind": "-inf"} rather than a sentinel float.
+Serialization of infinities: CSV cells use the literals "inf" / "-inf"; every
+JSON object, CSV config comments included, uses the tagged form
+{"kind": "-inf"} rather than a sentinel float.
 """
 
 from __future__ import annotations
@@ -88,9 +92,12 @@ EXIT_NUMERICAL = 6
 #: Thread-count variables of BLAS and OpenMP, recorded in the sidecar log.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+#: Parsed arguments that say where or how output goes; the rest are parameters.
+_OUTPUT_ARGS = ("func", "out", "format", "dump_equilibria")
+
 
 def _json_cell(value):
-    """JSON encoding of a table cell: infinities become tagged objects."""
+    """JSON encoding of a cell or parameter: infinities become tagged objects."""
     if isinstance(value, float) and math.isinf(value):
         return {"kind": "-inf" if value < 0 else "inf"}
     return value
@@ -181,29 +188,35 @@ def _csv_chunks(config: dict, header: list[str], batches):
         yield buf.getvalue()
 
 
-def _emit_record(args, op: str, params: dict, sidecar=(), **fields) -> None:
-    """Write one JSON record: the command, its resolved parameters and its
-    results, plus the master seed (when the command takes one) and the version."""
-    record = {"op": op, "params": params, **fields, "version": __version__}
-    if hasattr(args, "seed"):
-        record["seed"] = args.seed
+def _params(args, derived=()) -> dict:
+    """A command's parameters: its parsed arguments less ``_OUTPUT_ARGS``,
+    plus the ``derived`` values, with infinities tagged."""
+    params = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
+    params.update(derived)
+    return {k: _json_cell(v) for k, v in params.items()}
+
+
+def _emit_record(args, derived=(), sidecar=(), **fields) -> None:
+    """Write one JSON record: the command as ``op``, its parameters (plus the
+    ``derived`` ones) and its results, the master seed (when the command takes
+    one) and the version."""
+    params = _params(args, derived)
+    record = {"op": params.pop("command"), "params": params, **fields, "version": __version__}
+    if "seed" in params:
+        record["seed"] = params.pop("seed")
     _write_output(args.out, json.dumps(record, sort_keys=True, indent=2) + "\n", sidecar)
 
 
-def _emit_table(args, command: str, config: dict, header: list[str], batches) -> None:
+def _emit_table(args, header: list[str], batches) -> None:
     """Write batches of typed rows as CSV (default), one batch at a time, or
     as the JSON record schema, which holds every row in memory; infinite
     floats take the tagged encoding in JSON.
     """
-    if getattr(args, "format", "csv") == "csv":
-        _write_output(args.out, _csv_chunks(config, header, batches))
+    if args.format == "csv":
+        _write_output(args.out, _csv_chunks(_params(args), header, batches))
         return
     results = [dict(zip(header, map(_json_cell, row))) for rows in batches for row in rows]
-    _emit_record(args, command, config, results=results)
-
-
-def _model_params(args) -> ModelParams:
-    return ModelParams(phi1=args.phi1, dphi1=args.dphi1, phi2=args.phi2, sigma2=args.sigma2)
+    _emit_record(args, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +230,6 @@ def _cmd_rates(args) -> int:
     bs = _parse_grid(args.b_grid) if args.b_grid else [args.b]
     taus = _parse_grid(args.tau_grid) if args.tau_grid else [args.tau]
     gammas = _parse_grid(args.gamma_grid) if args.gamma_grid else None
-    config = {
-        "command": "rates", "b": args.b, "tau": args.tau, "m": args.m,
-        "b_grid": args.b_grid, "tau_grid": args.tau_grid, "gamma_grid": args.gamma_grid,
-    }
     rows = []
     for b in bs:
         for tau in taus:
@@ -231,18 +240,17 @@ def _cmd_rates(args) -> int:
                 for gamma in gammas:
                     result = rate_diverging_index(float(b), float(tau), float(gamma))
                     rows.append([float(b), float(tau), float(gamma), result.branch, result.rate])
-    _emit_table(args, "rates", config, ["b", "tau", "gamma_or_c", "branch", "rate"], [rows])
+    _emit_table(args, ["b", "tau", "gamma_or_c", "branch", "rate"], [rows])
     return 0
 
 
 def _cmd_threshold_curve(args) -> int:
     grid = _parse_grid(args.b_grid)
-    config = {"command": "threshold-curve", "b_grid": args.b_grid}
     rows = []
     for b in grid:
         tau = threshold_tau(float(b))
         rows.append([float(b), tau, rate_fixed_index(float(b), tau).rate])
-    _emit_table(args, "threshold-curve", config, ["b", "tau_threshold", "rate_at_threshold"], [rows])
+    _emit_table(args, ["b", "tau_threshold", "rate_at_threshold"], [rows])
     return 0
 
 
@@ -250,9 +258,8 @@ def _cmd_s_gamma(args) -> int:
     from .ellipse import tail_mass, tail_quantile
 
     s = tail_quantile(args.gamma, args.tau, tol=args.tol)
-    config = {"command": "s-gamma", "gamma": args.gamma, "tau": args.tau, "tol": args.tol}
     rows = [[args.gamma, args.tau, s, float(tail_mass(s, args.tau))]]
-    _emit_table(args, "s-gamma", config, ["gamma", "tau", "s_gamma", "tail_mass"], [rows])
+    _emit_table(args, ["gamma", "tau", "s_gamma", "tail_mass"], [rows])
     return 0
 
 
@@ -260,26 +267,20 @@ def _cmd_sample_gee(args) -> int:
     _require_at_least("sample-gee", "--n", args.n, 1)
     _require_at_least("sample-gee", "--trials", args.trials, 1)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["sample-gee"])
-    config = {
-        "command": "sample-gee", "n": args.n, "tau": args.tau,
-        "trials": args.trials, "seed": args.seed,
-    }
 
     def batches():
         trial = 0
         for values, is_real in _eig_batches(args.n, args.tau, args.trials, seed, 1024):
-            rows = []
-            for t in range(values.shape[0]):
-                for j in range(args.n):
-                    rows.append([
-                        trial, j + 1,
-                        float(values[t, j].real), float(values[t, j].imag),
-                        int(is_real[t, j]),
-                    ])
-                trial += 1
-            yield rows
+            count = values.shape[0]
+            yield zip(
+                np.repeat(np.arange(trial, trial + count), args.n).tolist(),
+                np.tile(np.arange(1, args.n + 1), count).tolist(),
+                values.real.ravel().tolist(), values.imag.ravel().tolist(),
+                is_real.ravel().astype(int).tolist(),
+            )
+            trial += count
 
-    _emit_table(args, "sample-gee", config, ["trial_index", "j", "re", "im", "is_real"], batches())
+    _emit_table(args, ["trial_index", "j", "re", "im", "is_real"], batches())
     return 0
 
 
@@ -287,8 +288,7 @@ def _cmd_spectral_test(args) -> int:
     _require_at_least("spectral-test", "--trials", args.trials, 1)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["spectral-test"])
     ks = empirical_spectral_test(args.n, args.tau, args.trials, seed)
-    params = {"n": args.n, "tau": args.tau, "trials": args.trials}
-    _emit_record(args, "spectral-test", params, ks_distance=ks)
+    _emit_record(args, ks_distance=ks)
     return 0
 
 
@@ -296,18 +296,14 @@ def _cmd_estimate(args) -> int:
     _require_at_least("estimate", "--trials", args.trials, 1)
     if not 0 <= args.m <= args.n - 1:
         raise DomainError(f"requires 0 <= m <= n-1, got m={args.m}, n={args.n}")
-    p = _model_params(args)
+    p = ModelParams(phi1=args.phi1, dphi1=args.dphi1, phi2=args.phi2, sigma2=args.sigma2)
     tau, b = derive_tau_b(p)
     seed = derive_seed(args.seed, _COMMAND_STREAMS["estimate"])
-    window = IntervalB(float(args.lo), float(args.hi))
+    window = IntervalB(args.lo, args.hi)
     counts = estimate_equilibria_count(args.n, p, window, n_trials=args.trials, seed=seed)
     est = counts.per_m[args.m]
-    params = {
-        "n": args.n, "m": args.m, "phi1": args.phi1, "dphi1": args.dphi1,
-        "phi2": args.phi2, "sigma2": args.sigma2, "lo": _fmt(window.lo),
-        "hi": _fmt(window.hi), "trials": args.trials, "tau": tau, "b": b,
-    }
-    _emit_record(args, "estimate", params, mean=est.mean, stderr=est.stderr, n_trials=est.n_trials)
+    _emit_record(args, {"tau": tau, "b": b},
+                 mean=est.mean, stderr=est.stderr, n_trials=est.n_trials)
     return 0
 
 
@@ -319,15 +315,11 @@ def _cmd_verify_uppingdim(args) -> int:
         args.n, args.m, args.tau, IntervalB(args.lo, args.hi),
         n_trials=args.trials, seed=seed,
     )
-    params = {
-        "n": args.n, "m": args.m, "tau": args.tau,
-        "lo": args.lo, "hi": args.hi, "trials": args.trials,
-    }
     results = [
         {"side": "lhs", "mean": report.lhs.mean, "stderr": report.lhs.stderr},
         {"side": "rhs", "mean": report.rhs.mean, "stderr": report.rhs.stderr},
     ]
-    _emit_record(args, "verify-uppingdim", params, results=results, z_score=report.z_score)
+    _emit_record(args, results=results, z_score=report.z_score)
     # A window the spectra rarely reach gives two near-zero sides whose
     # z-score passes vacuously. Each right-side reading must carry its own
     # support, so pairing does not loosen the gate.
@@ -352,10 +344,8 @@ def _cmd_oracle_compare(args) -> int:
         args.n, args.sigma2, args.samples, derive_seed(seed, 0), collect=collected
     )
     if args.dump_equilibria:
-        config = {
-            "command": "oracle-compare/equilibria", "n": args.n,
-            "sigma2": args.sigma2, "samples": args.samples, "seed": args.seed,
-        }
+        config = {"command": "oracle-compare/equilibria", "n": args.n, "sigma2": args.sigma2,
+                  "samples": args.samples, "seed": args.seed}
         header = ["sample_index", "eq_index", "m", "lagrange"]
         header += [f"x{i}" for i in range(args.n)] + ["residual"]
         rows = [
@@ -378,12 +368,8 @@ def _cmd_oracle_compare(args) -> int:
         "z_score": z_score(counts.total, oracle.total),
     }
     worst = max(row["z_score"] for row in comparisons + [total])
-    params = {
-        "n": args.n, "sigma2": args.sigma2, "samples": args.samples,
-        "trials": args.trials, "tau": tau, "b": b,
-    }
     _emit_record(
-        args, "oracle-compare", params,
+        args, {"tau": tau, "b": b},
         sidecar=[f"flagged {reason}: {k}" for reason, k in sorted(oracle.flag_reasons.items())],
         results=comparisons, total=total, flagged_rate=oracle.flagged_rate,
     )
@@ -396,30 +382,18 @@ def _cmd_ldp_tail(args) -> int:
     points = empirical_tail_rate(
         _parse_int_list(args.n_list), args.m, args.x, args.tau, args.trials, seed
     )
-    config = {
-        "command": "ldp-tail", "n_list": args.n_list, "m": args.m,
-        "x": args.x, "tau": args.tau, "trials": args.trials, "seed": args.seed,
-    }
-    rows = [
-        [pt.n, pt.rate_hat, pt.reference, pt.hits, int(not pt.sufficient)]
-        for pt in points
-    ]
-    _emit_table(args, "ldp-tail", config, ["n", "rate_hat", "reference", "hits", "flagged"], [rows])
+    rows = [[pt.n, pt.rate_hat, pt.reference, pt.hits, int(not pt.sufficient)] for pt in points]
+    _emit_table(args, ["n", "rate_hat", "reference", "hits", "flagged"], [rows])
     return 0
 
 
 def _cmd_lagrange_rates(args) -> int:
-    c, d = float(args.c), float(args.d)
-    result = rate_lagrange_window(args.b, args.tau, args.dphi1, args.m, c, d)
-    config = {
-        "command": "lagrange-rates", "b": args.b, "tau": args.tau,
-        "dphi1": args.dphi1, "m": args.m, "c": args.c, "d": args.d,
-    }
-    rows = [[args.b, args.tau, c, result.branch, result.rate]]
+    result = rate_lagrange_window(args.b, args.tau, args.dphi1, args.m, args.c, args.d)
+    rows = [[args.b, args.tau, args.c, result.branch, result.rate]]
     if args.with_cutoff:
         z0 = multiplier_cutoff(args.b, args.tau, args.dphi1, args.m)
         rows.append([args.b, args.tau, z0, "cutoff", 0.0])
-    _emit_table(args, "lagrange-rates", config, ["b", "tau", "gamma_or_c", "branch", "rate"], [rows])
+    _emit_table(args, ["b", "tau", "gamma_or_c", "branch", "rate"], [rows])
     return 0
 
 
@@ -443,101 +417,96 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not an integer (--seed, or EQUICOUNT_SEED without it)") from None
 
-    def common(sp, trials_default=100_000):
-        # argparse type-converts a string default only when --seed is absent.
-        sp.add_argument("--seed", type=seed, default=os.environ.get("EQUICOUNT_SEED", "0"))
-        sp.add_argument("--trials", type=int, default=trials_default)
-        sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    def finite(text: str) -> float:
+        # Every float option but the window ends, which may be infinite, has this type.
+        value = float(text)  # argparse reports a ValueError as "invalid finite value"
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        return value
 
-    sp = sub.add_parser("rates", help="fixed- or proportional-index rate table")
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--tau", type=float, default=None)
+    def command(name, func, help, table=False, trials=None):
+        """A subparser with the options shared across commands: --out always,
+        --format for table commands, --seed and --trials for sampling ones."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
+        if table:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if trials is not None:
+            # argparse type-converts a string default only when --seed is absent.
+            sp.add_argument("--seed", type=seed, default=os.environ.get("EQUICOUNT_SEED", "0"))
+            sp.add_argument("--trials", type=int, default=trials)
+        return sp
+
+    sp = command("rates", _cmd_rates, "fixed- or proportional-index rate table", table=True)
+    sp.add_argument("--b", type=finite, default=None)
+    sp.add_argument("--tau", type=finite, default=None)
     sp.add_argument("--m", type=int, default=0, help="index (the fixed-index rate does not depend on it)")
     sp.add_argument("--b-grid", default=None, help="start:stop:count; overrides --b")
     sp.add_argument("--tau-grid", default=None, help="start:stop:count; overrides --tau")
     sp.add_argument("--gamma-grid", default=None,
                     help="start:stop:count of index fractions; switches to the diverging-index rate")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_rates)
 
-    sp = sub.add_parser("threshold-curve", help="zero-rate curve tau(b) over a b grid")
+    sp = command("threshold-curve", _cmd_threshold_curve,
+                 "zero-rate curve tau(b) over a b grid", table=True)
     sp.add_argument("--b-grid", required=True, help="start:stop:count")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_threshold_curve)
 
-    sp = sub.add_parser("s-gamma", help="tail quantile of the ellipse-law real marginal")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_s_gamma)
+    sp = command("s-gamma", _cmd_s_gamma,
+                 "tail quantile of the ellipse-law real marginal", table=True)
+    sp.add_argument("--gamma", type=finite, required=True)
+    sp.add_argument("--tau", type=finite, required=True)
+    sp.add_argument("--tol", type=finite, default=1e-12)
 
-    sp = sub.add_parser("sample-gee", help="dump ordered spectra of sampled matrices")
+    sp = command("sample-gee", _cmd_sample_gee, "dump ordered spectra of sampled matrices",
+                 table=True, trials=100)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    common(sp, trials_default=100)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_sample_gee)
+    sp.add_argument("--tau", type=finite, required=True)
 
-    sp = sub.add_parser("spectral-test", help="elliptic-law sup-distance check")
+    sp = command("spectral-test", _cmd_spectral_test, "elliptic-law sup-distance check", trials=50)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    common(sp, trials_default=50)
-    sp.set_defaults(func=_cmd_spectral_test)
+    sp.add_argument("--tau", type=finite, required=True)
 
-    sp = sub.add_parser("estimate", help="mean equilibrium count via the ensemble estimator")
+    sp = command("estimate", _cmd_estimate, "mean equilibrium count via the ensemble estimator",
+                 trials=100_000)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--phi1", type=float, required=True)
-    sp.add_argument("--dphi1", type=float, required=True)
-    sp.add_argument("--phi2", type=float, required=True)
-    sp.add_argument("--sigma2", type=float, required=True)
-    sp.add_argument("--lo", default="-inf")
-    sp.add_argument("--hi", default="inf")
-    common(sp)
-    sp.set_defaults(func=_cmd_estimate)
+    for name in ("--phi1", "--dphi1", "--phi2", "--sigma2"):
+        sp.add_argument(name, type=finite, required=True)
+    sp.add_argument("--lo", type=float, default=-math.inf)
+    sp.add_argument("--hi", type=float, default=math.inf)
 
-    sp = sub.add_parser("verify-uppingdim", help="dimension-lift identity check (gate: z < 3)")
+    sp = command("verify-uppingdim", _cmd_verify_uppingdim,
+                 "dimension-lift identity check (gate: z < 3)", trials=100_000)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--lo", type=float, default=1.0)
-    sp.add_argument("--hi", type=float, default=1.4)
-    common(sp)
-    sp.set_defaults(func=_cmd_verify_uppingdim)
+    sp.add_argument("--tau", type=finite, required=True)
+    sp.add_argument("--lo", type=finite, default=1.0)
+    sp.add_argument("--hi", type=finite, default=1.4)
 
-    sp = sub.add_parser("oracle-compare", help="ensemble estimator vs brute-force sphere count")
+    sp = command("oracle-compare", _cmd_oracle_compare,
+                 "ensemble estimator vs brute-force sphere count", trials=100_000)
     sp.add_argument("--n", type=int, choices=DIRECTION_FINDERS, required=True)
-    sp.add_argument("--sigma2", type=float, required=True)
+    sp.add_argument("--sigma2", type=finite, required=True)
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--dump-equilibria", default=None, metavar="PATH",
                     help="also write every retained equilibrium as CSV")
-    common(sp)
-    sp.set_defaults(func=_cmd_oracle_compare)
 
-    sp = sub.add_parser("ldp-tail", help="empirical tail rates across matrix sizes")
+    sp = command("ldp-tail", _cmd_ldp_tail, "empirical tail rates across matrix sizes",
+                 table=True, trials=100_000)
     sp.add_argument("--n-list", required=True, help="comma-separated sizes, e.g. 10,20,40")
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    common(sp)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_ldp_tail)
+    sp.add_argument("--x", type=finite, required=True)
+    sp.add_argument("--tau", type=finite, required=True)
 
-    sp = sub.add_parser("lagrange-rates", help="multiplier-window rate and optional cutoff")
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--dphi1", type=float, required=True)
+    sp = command("lagrange-rates", _cmd_lagrange_rates,
+                 "multiplier-window rate and optional cutoff", table=True)
+    sp.add_argument("--b", type=finite, required=True)
+    sp.add_argument("--tau", type=finite, required=True)
+    sp.add_argument("--dphi1", type=finite, required=True)
     sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--c", default="-inf", help="window start; -inf for minus infinity")
-    sp.add_argument("--d", default="inf")
+    sp.add_argument("--c", type=float, default=-math.inf, help="window start; -inf for minus infinity")
+    sp.add_argument("--d", type=float, default=math.inf)
     sp.add_argument("--with-cutoff", action="store_true")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_lagrange_rates)
 
     return parser
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 
 #: Number of trials drawn per substream. Part of the determinism contract:
@@ -43,7 +45,7 @@ def derive_seed(seed: int, index: int) -> int:
 def batch_sizes(n_trials: int, batch_size: int):
     """Yield (batch_index, batch_length) covering ``n_trials`` trials."""
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     index = 0
     done = 0
     while done < n_trials:
@@ -67,9 +69,9 @@ class MCEstimate:
 
     def __post_init__(self):
         if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+            raise DomainError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.stderr < 0:
-            raise ValueError(f"stderr must be >= 0, got {self.stderr}")
+            raise DomainError(f"stderr must be >= 0, got {self.stderr}")
 
 
 class RunningMoments:

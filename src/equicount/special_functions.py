@@ -98,10 +98,13 @@ def rate_function(x: float, tau: float) -> float:
         raise DomainError(f"rate_function requires -1 < tau < 1, got tau={tau}")
     if x < 1.0 + tau:
         return math.inf
+    xx = x * x
+    if math.isinf(xx):  # x >~ 1.3e154: the last line would read inf - inf
+        return math.inf
     # x >= 1 + tau and |tau| < 1 give x^2 - 4 tau >= (1 - tau)^2 >= 0, so the
     # principal real root is always defined here.
-    s = math.sqrt(x * x - 4.0 * tau)
-    return x * x / (2.0 * (1.0 + tau)) - x / (x + s) - math.log(0.5 * (x + s))
+    s = math.sqrt(xx - 4.0 * tau)
+    return xx / (2.0 * (1.0 + tau)) - x / (x + s) - math.log(0.5 * (x + s))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,15 @@ class TestLagrangeRatesCommand:
         cutoff = text.strip().splitlines()[-1].split(",")
         assert cutoff[3] == "cutoff" and float(cutoff[2]) > 1.9 * math.sqrt(7.0)
 
+    def test_overflowing_window_start_rate_is_minus_inf(self, tmp_path):
+        # (c / sqrt(dphi1))^2 overflows; the rate function is then +inf, not NaN.
+        code, text = run_to_file(
+            tmp_path, "l.csv",
+            ["lagrange-rates", "--b", "0.5", "--tau", "0.3", "--dphi1", "2", "--c", "1e200"],
+        )
+        assert code == 0
+        assert text.strip().splitlines()[-1].split(",")[3:] == ["lagrange_above", "-inf"]
+
     def test_straddle_matches_rates_command(self, tmp_path):
         _, straddle = run_to_file(
             tmp_path, "a.csv",
@@ -464,6 +473,7 @@ def _refuse_sampling(monkeypatch):
 
 ESTIMATE = ["estimate", "--n", "3", "--m", "0", "--phi1", "1", "--dphi1", "2",
             "--phi2", "0", "--sigma2", "0.25"]
+LAGRANGE = ["lagrange-rates", "--b", "0.8", "--tau", "0", "--dphi1", "2"]
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -482,6 +492,7 @@ def test_json_record_top_level_keys(tmp_path, argv, keys):
     record = json.loads(text)
     assert set(record) == {"op", "params", "seed", "version"} | keys
     assert record["op"] == argv[0] and record["seed"] == 3
+    assert not {"command", "seed"} & set(record["params"])  # each said once, at the top
 
 
 @pytest.mark.parametrize("argv, bound", [
@@ -504,13 +515,24 @@ def test_json_record_top_level_keys(tmp_path, argv, keys):
     (["rates", "--b", "0.5", "--tau", "0", "--gamma-grid", "0.1:0.5:0"],
      "'0.1:0.5:0'; requires count >= 1"),
     (["threshold-curve", "--b-grid", "0.1:0.9:0"], "'0.1:0.9:0'; requires count >= 1"),
+    (LAGRANGE + ["--c", "abc"], "argument --c: invalid float value: 'abc'"),
+    (ESTIMATE + ["--trials", "10", "--lo", "abc"], "argument --lo: invalid float value: 'abc'"),
+    (["ldp-tail", "--n-list", "10", "--x", "inf", "--tau", "0", "--trials", "10"],
+     "argument --x: 'inf' is not a finite number"),
+    (ESTIMATE + ["--trials", "10", "--sigma2", "inf"],
+     "argument --sigma2: 'inf' is not a finite number"),
+    (LAGRANGE + ["--dphi1", "inf"], "argument --dphi1: 'inf' is not a finite number"),
+    (["s-gamma", "--gamma", "0.25", "--tau", "0.3", "--tol", "nan"],
+     "argument --tol: 'nan' is not a finite number"),
 ], ids=["verify-trials-1", "estimate-trials-0", "ldp-trials-0", "ldp-n-list-junk",
         "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1", "estimate-index-variant",
         "estimate-m-above-n-1", "rates-b-grid-0", "rates-tau-grid-0", "rates-gamma-grid-0",
-        "threshold-b-grid-0"])
+        "threshold-b-grid-0", "lagrange-c-junk", "estimate-lo-junk", "ldp-x-inf",
+        "estimate-sigma2-inf", "lagrange-dphi1-inf", "s-gamma-tol-nan"])
 def test_bad_arguments_rejected_before_work(monkeypatch, capsys, argv, bound):
     _refuse_sampling(monkeypatch)
-    seed = [] if argv[0] in ("rates", "threshold-curve") else ["--seed", "4"]  # seedless commands
+    seedless = ("rates", "threshold-curve", "s-gamma", "lagrange-rates")
+    seed = [] if argv[0] in seedless else ["--seed", "4"]
     try:
         code = main(argv + seed)
         kind = "parameter constraint violated"
@@ -569,6 +591,30 @@ def test_fuzzed_sizes_end_in_documented_exit_codes(argv):
 
 def _reject_constant(name):
     raise AssertionError(f"JSON output holds the non-standard constant {name}")
+
+
+@pytest.mark.parametrize("argv, path, value", [
+    (ESTIMATE + ["--trials", "100", "--lo", "-inf", "--hi", "1"], ["params", "lo"],
+     {"kind": "-inf"}),
+    (LAGRANGE + ["--c=-inf", "--d", "1.0"], ["c"], {"kind": "-inf"}),
+    (LAGRANGE + ["--c=-inf", "--d", "1.0", "--format", "json"], ["params", "c"],
+     {"kind": "-inf"}),
+    (["ldp-tail", "--n-list", "4", "--x", "1e200", "--tau", "0", "--trials", "50",
+      "--format", "json"], ["results", 0, "reference"], {"kind": "inf"}),
+], ids=["estimate", "lagrange-csv-config", "lagrange-json", "ldp-tail-json"])
+def test_json_is_strict_with_tagged_infinities(argv, path, value):
+    # A record, or a CSV table's config comment, is standard JSON: infinite
+    # parameters and cells are tagged, and no NaN or Infinity appears.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    text = out.getvalue()
+    if text.startswith("# config: "):
+        text = text.splitlines()[0].removeprefix("# config: ")
+    found = json.loads(text, parse_constant=_reject_constant)
+    for key in path:
+        found = found[key]
+    assert found == value
 
 
 def _table_both_ways(argv):

@@ -24,6 +24,7 @@ from equicount.montecarlo import (
     empirical_spectral_test,
     empirical_tail_rate,
     estimate_equilibria_count,
+    prob_k_real,
     verify_dimension_lift,
     _count_contributions,
 )
@@ -60,6 +61,15 @@ class TestSampling:
         a = MCEstimate(1.0, 0.0, 10, 0)
         assert z_score(a, a) == 0.0
         assert z_score(a, MCEstimate(2.0, 0.0, 10, 0)) == math.inf
+
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_equilibria_count(2, PARAMS, n_trials=0, seed=SEED),
+        lambda: empirical_tail_rate([4], 1, 1.3, 0.0, 0, SEED),
+        lambda: prob_k_real(3, 0.0, 0, SEED),
+    ], ids=["estimate", "tail-rate", "prob-k-real"])
+    def test_no_trials_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="n_trials must be >= 1, got 0"):
+            call()
 
 
 def inline_eig_batches(n, tau, n_trials, seed, batch_size):

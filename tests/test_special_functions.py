@@ -87,6 +87,11 @@ class TestRateFunction:
         assert rate_function(1.2, 0.3) == math.inf
         assert rate_function(-5.0, 0.0) == math.inf
 
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3])
+    @pytest.mark.parametrize("x", [1e155, 1e200, 1.7e308])
+    def test_infinite_once_x_squared_overflows(self, x, tau):
+        assert rate_function(x, tau) == math.inf
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             rate_function(2.0, 1.0)
