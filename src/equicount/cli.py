@@ -111,15 +111,17 @@ def _fmt(value: float) -> str:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """start:stop:count inclusive grid of at least one point."""
+    """start:stop:count inclusive grid of at least one point, between finite ends."""
     try:
         start, stop, count = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise DomainError(f"bad grid spec {text!r}; expected start:stop:count") from exc
-    if grid.size < 1:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"bad grid spec {text!r}; requires finite start and stop")
+    if count < 1:
         raise DomainError(f"bad grid spec {text!r}; requires count >= 1")
-    return grid
+    return np.linspace(start, stop, count)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -207,16 +209,17 @@ def _emit_record(args, derived=(), sidecar=(), **fields) -> None:
     _write_output(args.out, json.dumps(record, sort_keys=True, indent=2) + "\n", sidecar)
 
 
-def _emit_table(args, header: list[str], batches) -> None:
+def _emit_table(args, header: list[str], batches, sidecar=()) -> None:
     """Write batches of typed rows as CSV (default), one batch at a time, or
     as the JSON record schema, which holds every row in memory; infinite
-    floats take the tagged encoding in JSON.
+    floats take the tagged encoding in JSON. ``sidecar`` lines go to the
+    ``.log`` sidecar.
     """
     if args.format == "csv":
-        _write_output(args.out, _csv_chunks(_params(args), header, batches))
+        _write_output(args.out, _csv_chunks(_params(args), header, batches), sidecar)
         return
     results = [dict(zip(header, map(_json_cell, row))) for rows in batches for row in rows]
-    _emit_record(args, results=results)
+    _emit_record(args, sidecar=sidecar, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +386,8 @@ def _cmd_ldp_tail(args) -> int:
         _parse_int_list(args.n_list), args.m, args.x, args.tau, args.trials, seed
     )
     rows = [[pt.n, pt.rate_hat, pt.reference, pt.hits, int(not pt.sufficient)] for pt in points]
-    _emit_table(args, ["n", "rate_hat", "reference", "hits", "flagged"], [rows])
+    sidecar = [f"n={pt.n}: eigensolved {pt.eigensolved} of {pt.n_trials}" for pt in points]
+    _emit_table(args, ["n", "rate_hat", "reference", "hits", "flagged"], [rows], sidecar)
     return 0
 
 

@@ -243,6 +243,82 @@ def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, is_real
 
 
+#: Squarings of X + sI in :func:`certify_abscissa_below`, which bounds
+#: rho(X + sI) by ||(X + sI)^k||_F^(1/k) with k = 2^_SQUARINGS.
+_SQUARINGS = 5
+#: Slack in log2 of that bound for the rounding its error term does not track.
+_CERT_MARGIN = 2.0 ** -30
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _frobenius(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a C-contiguous (batch, n, n) stack, as batched
+    products (which release the GIL) of each flattened matrix with itself."""
+    flat = mats.reshape(len(mats), 1, -1)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
+                           work: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of a (batch, n, n) stack whose spectral abscissa,
+    the largest real part of an eigenvalue, is certified below ``floor``.
+
+    For every eigenvalue l and shift s >= 0,
+    Re l + s <= |l + s| <= rho(X + sI) <= ||(X + sI)^k||_F^(1/k), and k = 32
+    takes five squarings, batched matrix products on ``work``, a
+    C-contiguous float64 (2, rows, n, n) buffer: the stack is screened
+    ``rows`` matrices at a time. The caller picks s so that the rightmost
+    eigenvalues dominate |l + s|.
+
+    Before each squaring F is scaled by an exact power of two that brings
+    its Frobenius norm into [1/2, 1), so the powers neither overflow nor
+    underflow and the scale is tracked exactly. A Frobenius bound on the
+    accumulated rounding error rides along: delta = u ||diag(X + sI)|| for
+    the shift, then delta <- gamma_n ||F||^2 + 2 ||F|| delta + delta^2 per
+    product F <- fl(F F), with gamma_n = n u / (1 - n u), which holds for
+    any summation order of a conventional (non-Strassen) product. A matrix is
+    certified when (||F|| + delta)^(1/k), rescaled, is below floor + s by a
+    relative margin of 2^-30, which covers the rounding of the norms, the
+    sums and the final log2 that delta does not track, and subnormal
+    underflow. The certificate is rigorous up to that margin; it is not
+    interval arithmetic. A matrix with a non-finite entry is never certified.
+    """
+    batch, n, _ = mats.shape
+    certified = np.zeros(batch, dtype=bool)
+    if not floor + shift > 0.0:
+        return certified
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    target = math.log2(floor + shift) - _CERT_MARGIN
+    rows = work.shape[1]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for start in range(0, batch, rows):
+            block = mats[start : start + rows]
+            size = len(block)
+            f, g = work[0, :size], work[1, :size]
+            np.copyto(f, block)
+            diag = f.reshape(size, n * n)[:, :: n + 1]
+            diag += shift
+            err = _UNIT_ROUNDOFF * np.linalg.norm(diag, axis=1)
+            # f is 2^-exponent (X + sI)^(2^i) up to a Frobenius error err.
+            exponent = np.zeros(size)
+            for _ in range(_SQUARINGS):
+                norm = _frobenius(f)
+                power = np.frexp(norm)[1]
+                scale = np.ldexp(1.0, -power)
+                f *= scale[:, None, None]
+                norm *= scale
+                err *= scale
+                exponent += power
+                np.matmul(f, f, out=g)
+                err = gamma * norm * norm + 2.0 * norm * err + err * err
+                exponent *= 2.0
+                f, g = g, f
+            norm = _frobenius(f)
+            log2_radius = (np.log2(norm + err) + exponent) / 2.0 ** _SQUARINGS
+            certified[start : start + size] = log2_radius < target
+    return certified
+
+
 def log_eigenvalue_density(sigmas, xs, ys, n: int, tau: float) -> float:
     """log joint density of the spectrum on the k-real sector.
 

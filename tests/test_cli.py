@@ -8,7 +8,9 @@ import io
 import json
 import math
 import os
+import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -414,6 +416,22 @@ class TestLdpTailCommand:
         assert len(rows) == 2
         assert rows[0].split(",")[0] == "6"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sidecar_counts_eigensolves_and_leaves_data_alone(self, tmp_path, capsys, fmt):
+        """The data file carries the bytes printed without a sidecar; the
+        sidecar says how many trials per size went to the eigensolver: all at
+        the closed-form size 3, fewer where the screen rules trials out."""
+        argv = ["ldp-tail", "--n-list", "3,8", "--x", "1.2", "--tau", "0", "--trials", "3000",
+                "--seed", "2", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        code, written = run_to_file(tmp_path, "t", argv)
+        assert code == 0 and written == printed
+        log = (tmp_path / "t.log").read_text()
+        assert "n=3: eigensolved 3000 of 3000\n" in log
+        eigensolved = int(re.search(r"^n=8: eigensolved (\d+) of 3000$", log, re.M).group(1))
+        assert 0 < eigensolved < 3000
+
     def test_pooled_bytes_pinned(self, tmp_path):
         # Three 4096-trial batches per size at n >= 4 go through the thread
         # pool; digest recorded while every estimator took a batch_size.
@@ -524,17 +542,23 @@ def test_json_record_top_level_keys(tmp_path, argv, keys):
     (LAGRANGE + ["--dphi1", "inf"], "argument --dphi1: 'inf' is not a finite number"),
     (["s-gamma", "--gamma", "0.25", "--tau", "0.3", "--tol", "nan"],
      "argument --tol: 'nan' is not a finite number"),
+    (["rates", "--b", "0.5", "--tau-grid", "0:inf:3"],
+     "'0:inf:3'; requires finite start and stop"),
+    (["threshold-curve", "--b-grid", "0.1:nan:2"], "'0.1:nan:2'; requires finite start and stop"),
 ], ids=["verify-trials-1", "estimate-trials-0", "ldp-trials-0", "ldp-n-list-junk",
         "ldp-n-below-m", "sample-gee-n-0", "spectral-tau-1", "estimate-index-variant",
         "estimate-m-above-n-1", "rates-b-grid-0", "rates-tau-grid-0", "rates-gamma-grid-0",
         "threshold-b-grid-0", "lagrange-c-junk", "estimate-lo-junk", "ldp-x-inf",
-        "estimate-sigma2-inf", "lagrange-dphi1-inf", "s-gamma-tol-nan"])
+        "estimate-sigma2-inf", "lagrange-dphi1-inf", "s-gamma-tol-nan", "rates-tau-grid-inf",
+        "threshold-b-grid-nan"])
 def test_bad_arguments_rejected_before_work(monkeypatch, capsys, argv, bound):
     _refuse_sampling(monkeypatch)
     seedless = ("rates", "threshold-curve", "s-gamma", "lagrange-rates")
     seed = [] if argv[0] in seedless else ["--seed", "4"]
     try:
-        code = main(argv + seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the message
+            code = main(argv + seed)
         kind = "parameter constraint violated"
     except SystemExit as exc:  # argparse's usage error
         code, kind = exc.code, "usage: equicount"

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, linalg
 
 from equicount.errors import DomainError, EigensolverError
@@ -17,11 +19,12 @@ from equicount.gee import (
     _MIX_ENTRIES,
     _mixing_coefficients,
     _order_key,
+    certify_abscissa_below,
     eigvals_batch,
     log_eigenvalue_density,
     sample_gee_entries,
 )
-from equicount.montecarlo import prob_k_real
+from equicount.montecarlo import _abscissa_shift, prob_k_real
 from equicount.sampling import batch_sizes, substream
 
 SEED = 31337
@@ -269,6 +272,84 @@ def test_closed_forms_reject_non_finite_entries(n, bad):
     mats[3, 1, 0] = bad
     with pytest.raises(EigensolverError):
         eigvals_batch(mats)
+
+
+def screened_soundly(mats, floor: float, shift: float) -> np.ndarray:
+    """``certify_abscissa_below`` on a stack, in ragged blocks of 7, after
+    checking that no matrix it certifies has a LAPACK abscissa >= floor."""
+    n = mats.shape[1]
+    certified = certify_abscissa_below(mats, floor, shift, np.empty((2, 7, n, n)))
+    abscissa = np.linalg.eigvals(mats).real.max(axis=1)
+    assert not (certified & (abscissa >= floor)).any()
+    return certified
+
+
+def _orthogonal(n: int, seed: int) -> np.ndarray:
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _adversarial(name: str, x: float) -> np.ndarray:
+    n = 10
+    if name == "jordan":  # a scaled Jordan block: LAPACK spreads its eigenvalue by eps^(1/n)
+        return 0.9 * x * (np.eye(n) + np.eye(n, k=1))
+    if name == "triangular":  # eigenvalues on the diagonal, 1e8 above it
+        diag = np.linspace(-0.5, 0.9 * x, n)
+        return np.diag(diag) + np.triu(np.full((n, n), 1e8), k=1)
+    if name == "just-below":  # a real eigenvalue at x (1 - 2^-40), rotated
+        q = _orthogonal(n, SEED + 11)
+        return q @ np.diag([x * (1.0 - 2.0 ** -40)] + [0.1] * (n - 1)) @ q.T
+    raise ValueError(name)
+
+
+class TestAbscissaCertificate:
+    """The screen may only rule out matrices whose eigenvalues all have real
+    part below the floor, as LAPACK computes them."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([4, 10, 40]), tau=st.sampled_from([-0.5, 0.0, 0.3, 0.9]),
+           seed=st.integers(0, 2**32), quantile=st.floats(0.0, 1.0),
+           nudge=st.sampled_from([0.0, -2.0 ** -40, 2.0 ** -40, 2.0 ** -30, 2.0 ** -20, 0.01]),
+           shift=st.sampled_from([None, 0.0, 1.0]),
+           scale=st.sampled_from([1.0, 1e-150, 1e150]))
+    def test_ensemble_draws_never_screened_at_reachable_floor(self, n, tau, seed, quantile,
+                                                               nudge, shift, scale):
+        """Floors at and around the abscissae of the draws themselves, with
+        the ensemble's shift or another, at ordinary and extreme scales."""
+        mats = scale * sample_gee_entries(n, tau, np.random.default_rng(seed), 30)
+        abscissa = np.linalg.eigvals(mats).real.max(axis=1)
+        floor = float(np.quantile(abscissa, quantile)) * (1.0 + nudge)
+        shift = _abscissa_shift(tau) * scale if shift is None else shift * scale
+        screened_soundly(mats, floor, shift)
+
+    @pytest.mark.parametrize("name", ["jordan", "triangular", "just-below"])
+    @pytest.mark.parametrize("shift", [0.0, 0.3, 4.3])
+    def test_adversarial_matrices_never_screened_at_reachable_floor(self, name, shift):
+        x = 1.2
+        mats = _adversarial(name, x)[None]
+        abscissa = float(np.linalg.eigvals(mats).real.max())
+        for floor in (x, *(abscissa * (1.0 + f) for f in (-2.0 ** -10, 0.0, 2.0 ** -40,
+                                                          2.0 ** -30, 2.0 ** -10, 0.5))):
+            screened_soundly(mats, floor, shift)
+
+    def test_eigenvalue_within_margin_of_floor_is_eigensolved(self):
+        """A real eigenvalue 2^-40 below the floor is closer than the
+        certificate's 2^-30 margin, so that matrix is never ruled out."""
+        mats = _adversarial("just-below", 1.2)[None]
+        for shift in (0.0, 0.3, 4.3):
+            assert not screened_soundly(mats, 1.2, shift).any()
+
+    def test_far_floor_is_certified(self):
+        # rho(0.5 I + 0.3 I) = 0.8, and the Frobenius bound adds 10^(1/64).
+        mats = np.stack([0.5 * np.eye(10), np.diag(np.linspace(-1.0, 0.5, 10))])
+        assert screened_soundly(mats, 1.0, 0.3).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_never_certified(self, bad):
+        mats = 0.1 * np.stack([np.eye(6)] * 3)
+        mats[1, 2, 4] = bad
+        work = np.empty((2, 2, 6, 6))
+        assert certify_abscissa_below(mats, 1.0, 0.3, work).tolist() == [True, False, True]
 
 
 class TestRankedEigenvalue:

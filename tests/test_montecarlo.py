@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from scipy import integrate, special
 from equicount import montecarlo
 from equicount.ellipse import tail_quantile
 from equicount.errors import DomainError, EigensolverError
-from equicount.gee import eigvals_batch, sample_gee_entries
+from equicount.gee import certify_abscissa_below, eigvals_batch, sample_gee_entries
 from equicount.montecarlo import (
     FULL_LINE,
+    MIN_HITS,
     IntervalB,
+    _abscissa_shift,
     _eig_batches,
     _gaussian_moments,
     _lift_integrals,
     _readings,
+    _screen_pays,
     concentration_miss_fractions,
     empirical_spectral_test,
     empirical_tail_rate,
@@ -120,6 +124,46 @@ class TestEigBatches:
                     assert values.shape == values_ref.shape
                     assert np.array_equal(bits(values), bits(values_ref))
                     assert np.array_equal(is_real, is_real_ref)
+
+    @pytest.mark.parametrize("n, tau, n_trials, floor", [
+        (4, 0.0, 4097, 1.2), (10, 0.3, 3 * 4096 + 5, 1.5), (40, 0.0, 4096 + 41, 1.2),
+        (40, 0.9, 41, 1.95), (100, 0.0, 13, 1.06),
+    ])
+    def test_screened_rows_match_unscreened_bitwise(self, monkeypatch, n, tau, n_trials, floor):
+        """With a floor, a trial is either eigensolved, bit for bit as without
+        one, or screened out with -inf values, none real, and then no
+        eigenvalue of its unscreened spectrum reaches the floor. Batches of
+        n >= 40 span several chunks, and at n = 100 several screened blocks."""
+        want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
+        for workers in (3, 1):
+            monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
+            for ranks in (None, [0], [n - 1]):
+                screened = 0
+                got = _eig_batches(n, tau, n_trials, SEED, 4096, ranks, floor)
+                for (values, is_real), (values_ref, is_real_ref) in zip(got, want, strict=True):
+                    kept = np.isfinite(values[:, 0].real)
+                    assert (values_ref[~kept].real.max(axis=1) < floor).all()
+                    assert (values[~kept] == -math.inf).all() and not is_real[~kept].any()
+                    if ranks is not None:
+                        values_ref, is_real_ref = values_ref[:, ranks], is_real_ref[:, ranks]
+                    assert values.shape == values_ref.shape
+                    assert np.array_equal(bits(values[kept]), bits(values_ref[kept]))
+                    assert np.array_equal(is_real[kept], is_real_ref[kept])
+                    screened += int((~kept).sum())
+                assert 0 < screened < n_trials
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_screened_memory_is_buffers_and_one_column(self, monkeypatch, workers):
+        """The screen's operands come out of the same 512 KiB per worker."""
+        monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
+        tracemalloc.start()
+        try:
+            for _ in _eig_batches(40, 0.0, 8192, SEED, 4096, [0], 1.2):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_batch_stack(self, monkeypatch, workers):
@@ -556,17 +600,49 @@ class TestEmpiricalTailRate:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_reads_one_rank(self, monkeypatch, m):
-        # The tail reads rank m alone; no mirror column is kept at n = 10.
+        # The tail reads rank m alone, screened at x; no mirror column is
+        # kept at n = 10.
         seen = []
-        batch = montecarlo._eig_batch
+        batches = montecarlo._eig_batches
 
-        def recording(n, tau, seed, index, take, buf, ranks=None):
-            seen.append(ranks)
-            return batch(n, tau, seed, index, take, buf, ranks)
+        def recording(*args, **kwargs):
+            seen.append((kwargs["ranks"], kwargs["floor"]))
+            return batches(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_eig_batch", recording)
+        monkeypatch.setattr(montecarlo, "_eig_batches", recording)
         empirical_tail_rate([10], m, 1.2, 0.0, 5000, SEED)
-        assert seen == [[m - 1]] * 2
+        assert seen == [([m - 1], 1.2)]
+
+    @pytest.mark.parametrize("n_list, m, x, tau", [
+        ([10, 20, 40], 1, 1.2, 0.0), ([4, 12], 2, 1.4, 0.3), ([3, 40], 1, 0.8, -0.5),
+    ])
+    def test_screen_changes_no_count(self, monkeypatch, n_list, m, x, tau):
+        screened = empirical_tail_rate(n_list, m, x, tau, 3000, SEED)
+        monkeypatch.setattr(montecarlo, "_screen_pays", lambda n, tau, x: False)
+        plain = empirical_tail_rate(n_list, m, x, tau, 3000, SEED)
+        assert [replace(p, eigensolved=0) for p in screened] == [
+            replace(p, eigensolved=0) for p in plain]
+        assert all(p.eigensolved == 3000 for p in plain)
+        for point in screened:  # the closed forms (n = 3) are never screened
+            if point.n <= 3:
+                assert point.eigensolved == 3000
+            else:
+                assert point.hits <= point.eigensolved < 3000
+
+    def test_most_trials_skip_the_eigensolver_at_the_benchmark_point(self):
+        (point,) = empirical_tail_rate([40], 1, 1.2, 0.0, 8192, SEED)
+        assert point.hits >= MIN_HITS and point.eigensolved < 0.05 * 8192
+
+    def test_screen_skipped_where_it_certifies_nothing(self):
+        """At n = 40, tau = -0.5, x = 0.6 the shift needed to keep the ellipse's
+        right end dominant (4.3) leaves no room to certify a draw, so the
+        tail skips the screen there, as it does at the closed-form sizes."""
+        mats = sample_gee_entries(40, -0.5, substream(SEED, 0), 200)
+        work = np.empty((2, 10, 40, 40))
+        assert not certify_abscissa_below(mats, 0.6, _abscissa_shift(-0.5), work).any()
+        assert not _screen_pays(40, -0.5, 0.6)
+        assert not _screen_pays(3, 0.0, 1.2)
+        assert _screen_pays(40, 0.0, 1.2) and _screen_pays(40, -0.5, 0.9)
 
     def test_zero_hits_rate_infinite(self):
         pts = empirical_tail_rate([12], 1, 5.0, 0.0, 50, SEED)
