@@ -243,9 +243,12 @@ def eigvals_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, is_real
 
 
-#: Squarings of X + sI in :func:`certify_abscissa_below`, which bounds
-#: rho(X + sI) by ||(X + sI)^k||_F^(1/k) with k = 2^_SQUARINGS.
-_SQUARINGS = 5
+#: Most squarings of X + sI in :func:`certify_abscissa_below`, which bounds
+#: rho(X + sI) by ||(X + sI)^k||_F^(1/k) with k up to 2^_SQUARINGS.
+_SQUARINGS = 6
+#: The first squaring after which that bound is tested; before it the bound
+#: rarely clears a floor.
+_FIRST_TEST = 3
 #: Slack in log2 of that bound for the rounding its error term does not track.
 _CERT_MARGIN = 2.0 ** -30
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -264,11 +267,14 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
     the largest real part of an eigenvalue, is certified below ``floor``.
 
     For every eigenvalue l and shift s >= 0,
-    Re l + s <= |l + s| <= rho(X + sI) <= ||(X + sI)^k||_F^(1/k), and k = 32
-    takes five squarings, batched matrix products on ``work``, a
-    C-contiguous float64 (2, rows, n, n) buffer: the stack is screened
-    ``rows`` matrices at a time. The caller picks s so that the rightmost
-    eigenvalues dominate |l + s|.
+    Re l + s <= |l + s| <= rho(X + sI) <= ||(X + sI)^k||_F^(1/k) for every
+    k = 2^j. The powers come from repeated squaring, batched matrix products
+    on ``work``, a C-contiguous float64 (2, rows, n, n) buffer: the stack is
+    screened ``rows`` matrices at a time. The bound is tested after squarings
+    3 to 6 (k = 8 to 64); a matrix leaves the block as soon as it is
+    certified, and the survivors are compacted into the idle operand, so
+    later squarings run on them alone. The caller picks s so that the
+    rightmost eigenvalues dominate |l + s|.
 
     Before each squaring F is scaled by an exact power of two that brings
     its Frobenius norm into [1/2, 1), so the powers neither overflow nor
@@ -299,10 +305,26 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
             diag = f.reshape(size, n * n)[:, :: n + 1]
             diag += shift
             err = _UNIT_ROUNDOFF * np.linalg.norm(diag, axis=1)
-            # f is 2^-exponent (X + sI)^(2^i) up to a Frobenius error err.
+            # f is 2^-exponent (X + sI)^(2^depth) up to a Frobenius error err;
+            # live holds the stack index of each of its matrices.
             exponent = np.zeros(size)
-            for _ in range(_SQUARINGS):
+            live = np.arange(start, start + size)
+            for depth in range(_SQUARINGS + 1):
                 norm = _frobenius(f)
+                if depth >= _FIRST_TEST:
+                    done = (np.log2(norm + err) + exponent) / 2.0 ** depth < target
+                    if done.any():
+                        certified[live[done]] = True
+                        keep = np.flatnonzero(~done)
+                        if not len(keep):
+                            break
+                        # The survivors move, in order, into the idle operand
+                        # ("clip" writes there directly; "raise" would buffer).
+                        live, norm, err, exponent = (a[keep] for a in (live, norm, err, exponent))
+                        survivors = np.take(f, keep, axis=0, out=g[: len(keep)], mode="clip")
+                        f, g = survivors, f[: len(keep)]
+                if depth == _SQUARINGS:
+                    break
                 power = np.frexp(norm)[1]
                 scale = np.ldexp(1.0, -power)
                 f *= scale[:, None, None]
@@ -313,9 +335,6 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
                 err = gamma * norm * norm + 2.0 * norm * err + err * err
                 exponent *= 2.0
                 f, g = g, f
-            norm = _frobenius(f)
-            log2_radius = (np.log2(norm + err) + exponent) / 2.0 ** _SQUARINGS
-            certified[start : start + size] = log2_radius < target
     return certified
 
 

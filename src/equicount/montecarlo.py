@@ -28,19 +28,20 @@ deterministic given (seed, n_trials); see ``sampling`` for the substream
 contract. At n >= 4 the batches run concurrently, on one thread per CPU of
 the affinity mask (``eig_workers``) but no more than there are batches; the
 contract makes every result independent of that, and of each batch being
-sampled into one of the driver's reused 512 KiB buffers, one per worker,
-and eigensolved chunk by chunk to bound memory. The functionals of one
-ranked eigenvalue keep only the columns they read: the identity's right
-side and concentration keep that eigenvalue, its mirror (``_readings``)
-and their realness, tail rates one eigenvalue and one flag per trial
-(68 KiB per 4096-trial batch).
+sampled into one of the driver's reused buffers, 512 KiB per worker (768 KiB
+when screened), and eigensolved chunk by chunk to bound memory. The
+functionals of one ranked eigenvalue keep only the columns they read: the
+identity's right side and concentration keep that eigenvalue, its mirror
+(``_readings``) and their realness, tail rates one eigenvalue and one flag
+per trial (68 KiB per 4096-trial batch).
 
-Tail rates also pass the driver a floor, x: each chunk is screened first by
-a certified upper bound on every matrix's spectral abscissa
+Tail rates also pass the driver a floor, x: each chunk is screened first, as
+one block, by a certified upper bound on every matrix's spectral abscissa
 (``gee.certify_abscissa_below``), and a trial certified below x, which
-cannot hit, skips the eigensolver and comes back as -inf, not real. At the
-benchmark point (x = 1.2, tau = 0) that leaves about 3% of the n = 40
-trials to LAPACK; the counts are those of eigensolving every trial.
+cannot hit, skips the eigensolver and comes back as -inf, not real; a chunk
+certified whole skips it altogether. At the benchmark point (x = 1.2,
+tau = 0) that leaves about 2% of the n = 40 trials to LAPACK; the counts
+are those of eigensolving every trial.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def eig_workers(n: int) -> int:
 
 
 #: Matrix entries sampled and eigensolved at a time within a batch (512 KiB):
-#: 40 matrices at n = 40, one from n = 256 on, a whole batch at n <= 3.
+#: 40 matrices at n = 40, one from n = 256 on, a whole batch at n <= 3. A
+#: screened chunk is half as large (20 matrices at n = 40), and each screen
+#: operand as large as it.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -134,11 +137,11 @@ def _abscissa_shift(tau: float) -> float:
 def _screen_pays(n: int, tau: float, x: float) -> bool:
     """Whether screening n x n matrices for an eigenvalue with real part
     >= x is worth its cost. The certificate bounds rho(X + sI) by a
-    Frobenius norm, which exceeds rho by up to n^(1/2k) (k = 2^squarings),
-    the factor a normal matrix with n eigenvalues at the edge gives. Where
-    (x + s) / (1 + tau + s), the room between x and the ellipse law's
-    right edge, does not clear it, the screen certifies few trials and is
-    skipped; the closed forms (n <= 3) are never screened."""
+    Frobenius norm, which exceeds rho by up to n^(1/2k) (k = 2^squarings at
+    the deepest), the factor a normal matrix with n eigenvalues at the edge
+    gives. Where (x + s) / (1 + tau + s), the room between x and the ellipse
+    law's right edge, does not clear it, the screen certifies few trials and
+    is skipped; the closed forms (n <= 3) are never screened."""
     shift = _abscissa_shift(tau)
     room = math.log((x + shift) / (1.0 + tau + shift))
     return n >= 4 and room >= math.log(n) / 2.0 ** (_SQUARINGS + 1)
@@ -152,11 +155,12 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
     ``len(buf)`` matrices at a time; when given, ``ranks`` lists the 0-based
     ranks kept, as a (take, len(ranks)) block.
 
-    Given ``floor``, each chunk is first screened on ``work`` (see
-    ``certify_abscissa_below``): a trial certified to have no eigenvalue with
-    real part >= floor skips the eigensolver and comes back with every kept
-    value -inf and none real. The other trials are eigensolved as without
-    a floor.
+    Given ``floor``, each chunk is first screened as one block on ``work``
+    (see ``certify_abscissa_below``), two operands shaped like ``buf``: a
+    trial certified to have no eigenvalue with real part >= floor skips the
+    eigensolver and comes back with every kept value -inf and none real, and
+    a chunk certified whole makes no eigensolver call. The other trials are
+    eigensolved as without a floor.
 
     The sampler consumes the stream in order and the eigensolver works matrix
     by matrix, so the values are bitwise those of one whole-batch draw. A
@@ -164,6 +168,7 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
     their kept columns) as they are; the results never alias ``buf``.
     """
     rng = substream(seed, index)
+    cols = slice(None) if ranks is None else ranks
     values = is_real = None
     for start in range(0, take, len(buf)):
         mats = sample_gee_entries(n, tau, rng, min(len(buf), take - start), out=buf)
@@ -171,15 +176,15 @@ def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.nda
         if floor is not None:
             solve = np.flatnonzero(~certify_abscissa_below(mats, floor, _abscissa_shift(tau), work))
             mats, rows = mats[solve], solve + start
-        part_values, part_real = eigvals_batch(mats)
-        if ranks is not None:
-            part_values, part_real = part_values[:, ranks], part_real[:, ranks]
-        if floor is None and len(mats) == take:
-            return part_values, part_real
+        elif len(mats) == take:
+            part_values, part_real = eigvals_batch(mats)
+            return part_values[:, cols], part_real[:, cols]
         if values is None:
             shape = (take, n if ranks is None else len(ranks))
             values, is_real = np.full(shape, -math.inf, dtype=complex), np.zeros(shape, dtype=bool)
-        values[rows], is_real[rows] = part_values, part_real
+        if len(mats):  # a chunk the screen certified whole needs no eigensolve
+            part_values, part_real = eigvals_batch(mats)
+            values[rows], is_real[rows] = part_values[:, cols], part_real[:, cols]
     return values, is_real
 
 
@@ -192,27 +197,24 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
 
     Batch j draws from ``substream(seed, j)``, so its values do not depend on
     which thread computes it. The batches run on min(``eig_workers(n)``,
-    batch count) workers. The driver owns at most 512 KiB of buffers per
-    worker: a sample buffer, or with a floor a sample buffer of half that
-    size and two screening operands of a quarter each (10 matrices at
-    n = 40); batch j uses the buffers of worker j mod workers, and is
-    queued only after batch j - workers is handed over, so a batch in flight
-    holds its buffers and its result: the (batch, n) spectrum, or with ``ranks``
-    one value per trial and kept rank. One worker runs a queued batch when
-    its turn comes; more run on a thread pool (numpy's sampler and
-    eigensolver release the GIL). An error in a batch is raised here, and
-    closing the generator early waits for the batches in flight.
+    batch count) workers. The driver owns the buffers, per worker a 512 KiB
+    sample buffer, or with a floor three of half that size (20 matrices at
+    n = 40): the sample buffer and the screen's two operands, so that each
+    chunk is screened as one block. Batch j uses the buffers of worker
+    j mod workers, and is queued only after batch j - workers is handed
+    over, so a batch in flight holds its buffers and its result: the
+    (batch, n) spectrum, or with ``ranks`` one value per trial and kept
+    rank. One worker runs a queued batch when its turn comes; more run on a
+    thread pool (numpy's sampler and eigensolver release the GIL). An error
+    in a batch is raised here, and closing the generator early waits for the
+    batches in flight.
     """
     batches = list(batch_sizes(n_trials, batch_size))
     workers = min(eig_workers(n), len(batches))
-    # A screened chunk is half as large, to leave room for the two operands.
+    # Per worker, the sample buffer, and with a floor the screen's two operands.
     chunk = _CHUNK_ENTRIES if floor is None else _CHUNK_ENTRIES // 2
     rows = min(max(1, chunk // (n * n)), batch_size, n_trials)
-    bufs = [np.empty((rows, n, n)) for _ in range(workers)]
-    works = [None] * workers
-    if floor is not None:
-        screen_rows = min(rows, max(1, chunk // 2 // (n * n)))
-        works = [np.empty((2, screen_rows, n, n)) for _ in range(workers)]
+    bufs = [np.empty((1 if floor is None else 3, rows, n, n)) for _ in range(workers)]
     pool = nullcontext()
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -222,7 +224,7 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
         pending = deque()
         for index, take in batches:
             slot = index % workers
-            args = (n, tau, seed, index, take, bufs[slot], ranks, floor, works[slot])
+            args = (n, tau, seed, index, take, bufs[slot][0], ranks, floor, bufs[slot][1:])
             pending.append(partial(_eig_batch, *args) if workers == 1
                            else pool.submit(_eig_batch, *args).result)
             if len(pending) == workers:

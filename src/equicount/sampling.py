@@ -9,9 +9,10 @@ consume it in order, and reductions run in batch order. The public
 estimators' results are therefore bit-identical for a given
 (seed, n_trials) regardless of how batches are split or scheduled:
 ``montecarlo._eig_batches`` draws each in chunks into a buffer of at most
-512 KiB that it owns and reuses (one per worker), computes them concurrently
-at LAPACK sizes on no more workers than there are batches, and hands them
-over in batch order. A floor given to it (the tail rates') only lets
+512 KiB that it owns and reuses (one per worker, with the screen's two
+operands beside it when screened), computes them concurrently at LAPACK
+sizes on no more workers than there are batches, and hands them over in
+batch order. A floor given to it (the tail rates') only lets
 trials that cannot reach the floor skip the eigensolver; it reads no
 random numbers, and every trial it keeps gets the same spectrum, so the
 results stay those of (seed, n_trials). Derived seeds for

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, linalg
 
+from equicount import gee
 from equicount.errors import DomainError, EigensolverError
 from equicount.gee import (
     _MIX_ENTRIES,
@@ -284,6 +285,46 @@ def screened_soundly(mats, floor: float, shift: float) -> np.ndarray:
     return certified
 
 
+def five_squaring_certificate(mats, floor: float, shift: float) -> np.ndarray:
+    """The abscissa certificate as it was before it tested early depths: every
+    matrix of each block of 7 squared five times, and the bound tested once,
+    at k = 32, with the same scaling, error term and margin."""
+    batch, n, _ = mats.shape
+    certified = np.zeros(batch, dtype=bool)
+    if not floor + shift > 0.0:
+        return certified
+    u = 2.0 ** -53
+    gamma = n * u / (1.0 - n * u)
+    target = math.log2(floor + shift) - 2.0 ** -30
+
+    def frobenius(stack):
+        flat = stack.reshape(len(stack), 1, -1)
+        return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for start in range(0, batch, 7):
+            f = mats[start : start + 7].copy()
+            size = len(f)
+            diag = f.reshape(size, n * n)[:, :: n + 1]
+            diag += shift
+            err = u * np.linalg.norm(diag, axis=1)
+            exponent = np.zeros(size)
+            for _ in range(5):
+                norm = frobenius(f)
+                power = np.frexp(norm)[1]
+                scale = np.ldexp(1.0, -power)
+                f *= scale[:, None, None]
+                norm *= scale
+                err *= scale
+                exponent += power
+                f = np.matmul(f, f)
+                err = gamma * norm * norm + 2.0 * norm * err + err * err
+                exponent *= 2.0
+            norm = frobenius(f)
+            certified[start : start + size] = (np.log2(norm + err) + exponent) / 32.0 < target
+    return certified
+
+
 def _orthogonal(n: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q * np.sign(np.diag(r))
@@ -340,9 +381,47 @@ class TestAbscissaCertificate:
             assert not screened_soundly(mats, 1.2, shift).any()
 
     def test_far_floor_is_certified(self):
-        # rho(0.5 I + 0.3 I) = 0.8, and the Frobenius bound adds 10^(1/64).
+        # rho(0.5 I + 0.3 I) = 0.8, and the Frobenius bound adds at most 10^(1/16).
         mats = np.stack([0.5 * np.eye(10), np.diag(np.linspace(-1.0, 0.5, 10))])
         assert screened_soundly(mats, 1.0, 0.3).all()
+
+    @pytest.mark.parametrize("n", [4, 10, 40])
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3, 0.9])
+    def test_certifies_all_the_five_squaring_certificate_did(self, n, tau):
+        """Testing the bound from squaring 3 on, and a sixth squaring for the
+        survivors, only adds certified matrices to those that five squarings
+        certified, at floors at and around the draws' abscissae."""
+        mats = sample_gee_entries(n, tau, np.random.default_rng(SEED + n), 30)
+        abscissa = np.linalg.eigvals(mats).real.max(axis=1)
+        shift = _abscissa_shift(tau)
+        before = after = 0
+        for quantile in (0.0, 0.5, 0.9, 1.0):
+            for nudge in (0.0, 2.0 ** -30, 0.01, 0.05, 0.2):
+                floor = float(np.quantile(abscissa, quantile)) * (1.0 + nudge)
+                reference = five_squaring_certificate(mats, floor, shift)
+                certified = screened_soundly(mats, floor, shift)
+                assert not (reference & ~certified).any()
+                before, after = before + int(reference.sum()), after + int(certified.sum())
+        assert 0 < before <= after
+
+    def test_mask_keeps_stack_order_as_matrices_leave(self, monkeypatch):
+        """One block whose matrices first certify after squarings 3, 4, 5 and
+        6, between matrices that never do and one with a NaN entry.
+        (c Q D Q^T)^k, with D a diagonal of signs, has Frobenius norm
+        c^k sqrt(16), so at floor 1 and shift 0 the bound after squaring j,
+        c 16^(2^-j-1), clears 1 from the squaring set by c."""
+        first = {0.5: 3, 0.88: 4, 0.94: 5, 0.97: 6, 0.99: None, 1.5: None}
+        order = [0.99, 0.97, 0.5, 0.94, 1.5, 0.88, 0.5, 0.97, 0.99, 0.94, 0.88]
+        q = _orthogonal(16, SEED)
+        signs = np.where(np.arange(16) % 3, 1.0, -1.0)
+        mats = np.stack([c * (q * signs) @ q.T for c in order] + [0.5 * np.eye(16)])
+        mats[-1, 3, 5] = math.nan
+        work = np.empty((2, len(mats), 16, 16))
+        for depth in range(3, 7):
+            monkeypatch.setattr(gee, "_SQUARINGS", depth)
+            got = certify_abscissa_below(mats, 1.0, 0.0, work)
+            want = [first[c] is not None and first[c] <= depth for c in order] + [False]
+            assert got.tolist() == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_never_certified(self, bad):

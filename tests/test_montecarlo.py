@@ -154,7 +154,8 @@ class TestEigBatches:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_screened_memory_is_buffers_and_one_column(self, monkeypatch, workers):
-        """The screen's operands come out of the same 512 KiB per worker."""
+        """A screened worker owns three 256 KiB buffers, the sample buffer
+        and the screen's two operands, which take each chunk as one block."""
         monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
         tracemalloc.start()
         try:
@@ -634,12 +635,14 @@ class TestEmpiricalTailRate:
         assert point.hits >= MIN_HITS and point.eigensolved < 0.05 * 8192
 
     def test_screen_skipped_where_it_certifies_nothing(self):
-        """At n = 40, tau = -0.5, x = 0.6 the shift needed to keep the ellipse's
-        right end dominant (4.3) leaves no room to certify a draw, so the
-        tail skips the screen there, as it does at the closed-form sizes."""
-        mats = sample_gee_entries(40, -0.5, substream(SEED, 0), 200)
+        """At n = 40, tau = -0.8, x = 0.3 the shift needed to keep the ellipse's
+        right end dominant (16.3) leaves no room to certify a draw. The tail
+        skips the screen there, at tau = -0.5, x = 0.6 (shift 4.3), where the
+        room is below n^(1/128), and at the closed-form sizes."""
+        mats = sample_gee_entries(40, -0.8, substream(SEED, 0), 200)
         work = np.empty((2, 10, 40, 40))
-        assert not certify_abscissa_below(mats, 0.6, _abscissa_shift(-0.5), work).any()
+        assert not certify_abscissa_below(mats, 0.3, _abscissa_shift(-0.8), work).any()
+        assert not _screen_pays(40, -0.8, 0.3)
         assert not _screen_pays(40, -0.5, 0.6)
         assert not _screen_pays(3, 0.0, 1.2)
         assert _screen_pays(40, 0.0, 1.2) and _screen_pays(40, -0.5, 0.9)
