@@ -269,12 +269,12 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
     For every eigenvalue l and shift s >= 0,
     Re l + s <= |l + s| <= rho(X + sI) <= ||(X + sI)^k||_F^(1/k) for every
     k = 2^j. The powers come from repeated squaring, batched matrix products
-    on ``work``, a C-contiguous float64 (2, rows, n, n) buffer: the stack is
-    screened ``rows`` matrices at a time. The bound is tested after squarings
-    3 to 6 (k = 8 to 64); a matrix leaves the block as soon as it is
-    certified, and the survivors are compacted into the idle operand, so
-    later squarings run on them alone. The caller picks s so that the
-    rightmost eigenvalues dominate |l + s|.
+    on ``work``, a C-contiguous float64 (2, rows, n, n) buffer that holds the
+    whole stack as one block: a stack of more than ``rows`` matrices raises
+    DomainError. The bound is tested after squarings 3 to 6 (k = 8 to 64); a
+    matrix leaves the block as soon as it is certified, and the survivors are
+    compacted into the idle operand, so later squarings run on them alone.
+    The caller picks s so that the rightmost eigenvalues dominate |l + s|.
 
     Before each squaring F is scaled by an exact power of two that brings
     its Frobenius norm into [1/2, 1), so the powers neither overflow nor
@@ -290,51 +290,50 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
     interval arithmetic. A matrix with a non-finite entry is never certified.
     """
     batch, n, _ = mats.shape
+    if batch > work.shape[1]:
+        raise DomainError(f"certify_abscissa_below screens one block of at most "
+                          f"{work.shape[1]} matrices, got {batch}")
     certified = np.zeros(batch, dtype=bool)
     if not floor + shift > 0.0:
         return certified
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     target = math.log2(floor + shift) - _CERT_MARGIN
-    rows = work.shape[1]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for start in range(0, batch, rows):
-            block = mats[start : start + rows]
-            size = len(block)
-            f, g = work[0, :size], work[1, :size]
-            np.copyto(f, block)
-            diag = f.reshape(size, n * n)[:, :: n + 1]
-            diag += shift
-            err = _UNIT_ROUNDOFF * np.linalg.norm(diag, axis=1)
-            # f is 2^-exponent (X + sI)^(2^depth) up to a Frobenius error err;
-            # live holds the stack index of each of its matrices.
-            exponent = np.zeros(size)
-            live = np.arange(start, start + size)
-            for depth in range(_SQUARINGS + 1):
-                norm = _frobenius(f)
-                if depth >= _FIRST_TEST:
-                    done = (np.log2(norm + err) + exponent) / 2.0 ** depth < target
-                    if done.any():
-                        certified[live[done]] = True
-                        keep = np.flatnonzero(~done)
-                        if not len(keep):
-                            break
-                        # The survivors move, in order, into the idle operand
-                        # ("clip" writes there directly; "raise" would buffer).
-                        live, norm, err, exponent = (a[keep] for a in (live, norm, err, exponent))
-                        survivors = np.take(f, keep, axis=0, out=g[: len(keep)], mode="clip")
-                        f, g = survivors, f[: len(keep)]
-                if depth == _SQUARINGS:
-                    break
-                power = np.frexp(norm)[1]
-                scale = np.ldexp(1.0, -power)
-                f *= scale[:, None, None]
-                norm *= scale
-                err *= scale
-                exponent += power
-                np.matmul(f, f, out=g)
-                err = gamma * norm * norm + 2.0 * norm * err + err * err
-                exponent *= 2.0
-                f, g = g, f
+        f, g = work[0, :batch], work[1, :batch]
+        np.copyto(f, mats)
+        diag = f.reshape(batch, n * n)[:, :: n + 1]
+        diag += shift
+        err = _UNIT_ROUNDOFF * np.linalg.norm(diag, axis=1)
+        # f is 2^-exponent (X + sI)^(2^depth) up to a Frobenius error err;
+        # live holds the stack index of each of its matrices.
+        exponent = np.zeros(batch)
+        live = np.arange(batch)
+        for depth in range(_SQUARINGS + 1):
+            norm = _frobenius(f)
+            if depth >= _FIRST_TEST:
+                done = (np.log2(norm + err) + exponent) / 2.0 ** depth < target
+                if done.any():
+                    certified[live[done]] = True
+                    keep = np.flatnonzero(~done)
+                    if not len(keep):
+                        break
+                    # The survivors move, in order, into the idle operand
+                    # ("clip" writes there directly; "raise" would buffer).
+                    live, norm, err, exponent = (a[keep] for a in (live, norm, err, exponent))
+                    survivors = np.take(f, keep, axis=0, out=g[: len(keep)], mode="clip")
+                    f, g = survivors, f[: len(keep)]
+            if depth == _SQUARINGS:
+                break
+            power = np.frexp(norm)[1]
+            scale = np.ldexp(1.0, -power)
+            f *= scale[:, None, None]
+            norm *= scale
+            err *= scale
+            exponent += power
+            np.matmul(f, f, out=g)
+            err = gamma * norm * norm + 2.0 * norm * err + err * err
+            exponent *= 2.0
+            f, g = g, f
     return certified
 
 

@@ -35,13 +35,14 @@ identity's right side and concentration keep that eigenvalue, its mirror
 (``_readings``) and their realness, tail rates one eigenvalue and one flag
 per trial (68 KiB per 4096-trial batch).
 
-Tail rates also pass the driver a floor, x: each chunk is screened first, as
-one block, by a certified upper bound on every matrix's spectral abscissa
-(``gee.certify_abscissa_below``), and a trial certified below x, which
-cannot hit, skips the eigensolver and comes back as -inf, not real; a chunk
-certified whole skips it altogether. At the benchmark point (x = 1.2,
-tau = 0) that leaves about 2% of the n = 40 trials to LAPACK; the counts
-are those of eigensolving every trial.
+Tail rates at n >= 4 also pass the driver a floor, x: each chunk is
+screened first, as one block, by a certified upper bound on every matrix's
+spectral abscissa (``gee.certify_abscissa_below``), and a trial certified
+below x, which cannot hit, skips the eigensolver and comes back as -inf,
+not real; a chunk certified whole skips it altogether. That leaves about 2%
+of the n = 40 trials to LAPACK at x = 1.2, tau = 0, and 38% at x = 1.02; at
+tau <= -0.8 nothing is certified. The counts are those of eigensolving
+every trial.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .ellipse import tail_mass, tail_quantile
 from .errors import DomainError
-from .gee import _SQUARINGS, certify_abscissa_below, eigvals_batch, sample_gee_entries
+from .gee import certify_abscissa_below, eigvals_batch, sample_gee_entries
 from .rates import ModelParams, derive_tau_b
 from .sampling import (
     DEFAULT_BATCH_SIZE,
@@ -132,19 +133,6 @@ def _abscissa_shift(tau: float) -> float:
     s >= -4 tau / (1 + tau); 0.3 more keeps it so for finite-n spectra, whose
     edge is ragged."""
     return max(0.0, -4.0 * tau / (1.0 + tau)) + 0.3
-
-
-def _screen_pays(n: int, tau: float, x: float) -> bool:
-    """Whether screening n x n matrices for an eigenvalue with real part
-    >= x is worth its cost. The certificate bounds rho(X + sI) by a
-    Frobenius norm, which exceeds rho by up to n^(1/2k) (k = 2^squarings at
-    the deepest), the factor a normal matrix with n eigenvalues at the edge
-    gives. Where (x + s) / (1 + tau + s), the room between x and the ellipse
-    law's right edge, does not clear it, the screen certifies few trials and
-    is skipped; the closed forms (n <= 3) are never screened."""
-    shift = _abscissa_shift(tau)
-    room = math.log((x + shift) / (1.0 + tau + shift))
-    return n >= 4 and room >= math.log(n) / 2.0 ** (_SQUARINGS + 1)
 
 
 def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.ndarray,
@@ -475,7 +463,7 @@ def verify_dimension_lift(
 class TailRatePoint:
     """Empirical tail rate at one matrix size; ``eigensolved`` counts the
     trials the abscissa screen could not rule out, which went to the
-    eigensolver (all of them where the screen is skipped)."""
+    eigensolver (all of them at n <= 3, which is not screened)."""
 
     n: int
     rate_hat: float
@@ -499,9 +487,8 @@ def empirical_tail_rate(
     The reference value m * I(x; tau) from the large-deviation law is
     attached; points with fewer than MIN_HITS hits are flagged insufficient
     (rate_hat is +inf when no trial hits). A trial with no eigenvalue of
-    real part >= x cannot hit, so where the screen pays (``_screen_pays``)
-    trials certified so skip the eigensolver; the counts are those of
-    eigensolving every trial.
+    real part >= x cannot hit, so at n >= 4 trials certified so skip the
+    eigensolver; the counts are those of eigensolving every trial.
     """
     if m < 1:
         raise DomainError(f"requires m >= 1, got m={m}")
@@ -513,8 +500,9 @@ def empirical_tail_rate(
     reference = m * rate_function(x, tau)
     out = []
     for i, n in enumerate(n_list):
-        floor = x if _screen_pays(n, tau, x) else None
-        # Rank m is 0-based index m-1, the one column kept.
+        # Rank m is 0-based index m-1, the one column kept. The closed forms
+        # (n <= 3) are cheaper than the screen, so only LAPACK sizes get a floor.
+        floor = x if n >= 4 else None
         batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=[m - 1], floor=floor)
         hits = eigensolved = 0
         for values, real in batches:

@@ -262,6 +262,8 @@ def multiplier_cutoff(
         raise ConstraintError("multiplier cutoff bracketing failed to find a sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: tol is below their spacing
+            break
         if g(mid) > 0.0:
             hi = mid
         else:

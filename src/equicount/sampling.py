@@ -12,8 +12,8 @@ estimators' results are therefore bit-identical for a given
 512 KiB that it owns and reuses (one per worker, with the screen's two
 operands beside it when screened), computes them concurrently at LAPACK
 sizes on no more workers than there are batches, and hands them over in
-batch order. A floor given to it (the tail rates') only lets
-trials that cannot reach the floor skip the eigensolver; it reads no
+batch order. A floor given to it (the tail rates', at n >= 4) only
+lets trials that cannot reach the floor skip the eigensolver; it reads no
 random numbers, and every trial it keeps gets the same spectrum, so the
 results stay those of (seed, n_trials). Derived seeds for
 independent sub-tasks (e.g. the two sides of an identity check) come from

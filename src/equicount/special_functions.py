@@ -60,7 +60,7 @@ _ERFCX_TERMS = 60
 
 
 def log_erfc(x: float) -> float:
-    """log(erfc(x)), finite for every finite x.
+    """log(erfc(x)); finite below x = 1.34e154, -inf above (x * x overflows).
 
     Below 26, erfc(x) is a normal double and its log is taken directly.
     Above, erfc(x) = exp(-x^2) erfcx(x) with Laplace's continued fraction
@@ -189,7 +189,13 @@ def _angular_mean(z: complex, r: np.ndarray, tau: float) -> np.ndarray:
     |zeta_2|^2 <= |tau| < 1 and drops out; the larger is
     r zeta_1 = (z + q)/2 with q = sqrt(z^2 - 4 tau r^2) of the sign that
     matches z. So the mean is log max(r, |z + q|/2), which has no 0/0 at z = 0.
+    Where z * z could overflow (a part of z >= 2^511), z and r are divided
+    exactly by a power of two 2^e and e log 2 is added back.
     """
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    if e > 511:
+        scale = math.ldexp(1.0, -e)
+        return _angular_mean(z * scale, r * scale, tau) + e * math.log(2.0)
     q = np.sqrt(z * z - 4.0 * tau * r * r)
     q = np.where((z.conjugate() * q).real < 0.0, -q, q)
     return np.log(np.maximum(r, 0.5 * np.abs(z + q)))

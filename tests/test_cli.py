@@ -115,6 +115,17 @@ class TestLagrangeRatesCommand:
         cutoff = text.strip().splitlines()[-1].split(",")
         assert cutoff[3] == "cutoff" and float(cutoff[2]) > 1.9 * math.sqrt(7.0)
 
+    def test_cutoff_at_huge_dphi1(self, tmp_path):
+        # The cutoff, about 1.5e6, has a float spacing above the bisection's
+        # tol; the search still ends.
+        code, text = run_to_file(
+            tmp_path, "l.csv",
+            ["lagrange-rates", "--b", "0.3", "--tau", "0.5", "--dphi1", "1e12", "--with-cutoff"],
+        )
+        assert code == 0
+        cutoff = text.strip().splitlines()[-1].split(",")
+        assert cutoff[3] == "cutoff" and float(cutoff[2]) == pytest.approx(1529588.7702846)
+
     def test_overflowing_window_start_rate_is_minus_inf(self, tmp_path):
         # (c / sqrt(dphi1))^2 overflows; the rate function is then +inf, not NaN.
         code, text = run_to_file(
@@ -440,6 +451,18 @@ class TestLdpTailCommand:
                      "--trials", "9000", "--seed", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "7b138ee67fbe69fafad4bf23b11a2d977fb75e6e339e8d58cbeb40a00ee4057d")
+
+    def test_near_edge_bytes_pinned(self, tmp_path):
+        # x = 1.02 lies just past the edge, where the screen rules out fewer
+        # trials; digest recorded while those sizes were all eigensolved.
+        out = tmp_path / "e.csv"
+        assert main(["ldp-tail", "--n-list", "20,40", "--x", "1.02", "--tau", "0",
+                     "--trials", "5000", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6dd5796754ec8ed50a6da875a5ae14f2d2ed9da3398a024238e228754698f48e")
+        log = (tmp_path / "e.csv.log").read_text()
+        counts = re.findall(r"^n=\d+: eigensolved (\d+) of 5000$", log, re.M)
+        assert len(counts) == 2 and all(0 < int(c) < 5000 for c in counts)
 
 
 @pytest.mark.parametrize("detached, attached", [

@@ -276,10 +276,10 @@ def test_closed_forms_reject_non_finite_entries(n, bad):
 
 
 def screened_soundly(mats, floor: float, shift: float) -> np.ndarray:
-    """``certify_abscissa_below`` on a stack, in ragged blocks of 7, after
-    checking that no matrix it certifies has a LAPACK abscissa >= floor."""
-    n = mats.shape[1]
-    certified = certify_abscissa_below(mats, floor, shift, np.empty((2, 7, n, n)))
+    """``certify_abscissa_below`` on a stack, as one block, after checking
+    that no matrix it certifies has a LAPACK abscissa >= floor."""
+    batch, n, _ = mats.shape
+    certified = certify_abscissa_below(mats, floor, shift, np.empty((2, batch, n, n)))
     abscissa = np.linalg.eigvals(mats).real.max(axis=1)
     assert not (certified & (abscissa >= floor)).any()
     return certified
@@ -427,8 +427,13 @@ class TestAbscissaCertificate:
     def test_non_finite_entries_never_certified(self, bad):
         mats = 0.1 * np.stack([np.eye(6)] * 3)
         mats[1, 2, 4] = bad
-        work = np.empty((2, 2, 6, 6))
+        work = np.empty((2, 3, 6, 6))
         assert certify_abscissa_below(mats, 1.0, 0.3, work).tolist() == [True, False, True]
+
+    def test_stack_larger_than_work_rejected(self):
+        mats = 0.1 * np.stack([np.eye(6)] * 3)
+        with pytest.raises(DomainError, match="one block of at most 2 matrices, got 3"):
+            certify_abscissa_below(mats, 1.0, 0.3, np.empty((2, 2, 6, 6)))
 
 
 class TestRankedEigenvalue:

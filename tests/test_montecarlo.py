@@ -23,7 +23,6 @@ from equicount.montecarlo import (
     _gaussian_moments,
     _lift_integrals,
     _readings,
-    _screen_pays,
     concentration_miss_fractions,
     empirical_spectral_test,
     empirical_tail_rate,
@@ -133,7 +132,7 @@ class TestEigBatches:
         """With a floor, a trial is either eigensolved, bit for bit as without
         one, or screened out with -inf values, none real, and then no
         eigenvalue of its unscreened spectrum reaches the floor. Batches of
-        n >= 40 span several chunks, and at n = 100 several screened blocks."""
+        n >= 40 span several chunks, each screened as one block."""
         want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
         for workers in (3, 1):
             monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
@@ -616,16 +615,21 @@ class TestEmpiricalTailRate:
 
     @pytest.mark.parametrize("n_list, m, x, tau", [
         ([10, 20, 40], 1, 1.2, 0.0), ([4, 12], 2, 1.4, 0.3), ([3, 40], 1, 0.8, -0.5),
+        ([40], 1, 1.02, 0.0), ([40], 1, 0.6, -0.5), ([40], 1, 0.3, -0.8),
     ])
     def test_screen_changes_no_count(self, monkeypatch, n_list, m, x, tau):
+        """Against a screen that certifies nothing. The closed forms (n = 3)
+        are not screened, and at tau = -0.8 the shift (16.3) leaves the
+        screen no room to certify a trial; elsewhere it rules some out."""
         screened = empirical_tail_rate(n_list, m, x, tau, 3000, SEED)
-        monkeypatch.setattr(montecarlo, "_screen_pays", lambda n, tau, x: False)
+        monkeypatch.setattr(montecarlo, "certify_abscissa_below",
+                            lambda mats, floor, shift, work: np.zeros(len(mats), dtype=bool))
         plain = empirical_tail_rate(n_list, m, x, tau, 3000, SEED)
         assert [replace(p, eigensolved=0) for p in screened] == [
             replace(p, eigensolved=0) for p in plain]
         assert all(p.eigensolved == 3000 for p in plain)
-        for point in screened:  # the closed forms (n = 3) are never screened
-            if point.n <= 3:
+        for point in screened:
+            if point.n <= 3 or tau <= -0.8:
                 assert point.eigensolved == 3000
             else:
                 assert point.hits <= point.eigensolved < 3000
@@ -634,18 +638,25 @@ class TestEmpiricalTailRate:
         (point,) = empirical_tail_rate([40], 1, 1.2, 0.0, 8192, SEED)
         assert point.hits >= MIN_HITS and point.eigensolved < 0.05 * 8192
 
-    def test_screen_skipped_where_it_certifies_nothing(self):
+    def test_floor_at_lapack_sizes_only(self, monkeypatch):
+        # Also where the screen certifies nothing (tau = -0.8).
+        seen = []
+        batches = montecarlo._eig_batches
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["floor"])
+            return batches(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_eig_batches", recording)
+        empirical_tail_rate([2, 3, 4, 40], 1, 0.3, -0.8, 50, SEED)
+        assert seen == [None, None, 0.3, 0.3]
+
+    def test_screen_certifies_nothing_where_the_shift_leaves_no_room(self):
         """At n = 40, tau = -0.8, x = 0.3 the shift needed to keep the ellipse's
-        right end dominant (16.3) leaves no room to certify a draw. The tail
-        skips the screen there, at tau = -0.5, x = 0.6 (shift 4.3), where the
-        room is below n^(1/128), and at the closed-form sizes."""
+        right end dominant (16.3) leaves no room to certify a draw."""
         mats = sample_gee_entries(40, -0.8, substream(SEED, 0), 200)
-        work = np.empty((2, 10, 40, 40))
+        work = np.empty((2, 200, 40, 40))
         assert not certify_abscissa_below(mats, 0.3, _abscissa_shift(-0.8), work).any()
-        assert not _screen_pays(40, -0.8, 0.3)
-        assert not _screen_pays(40, -0.5, 0.6)
-        assert not _screen_pays(3, 0.0, 1.2)
-        assert _screen_pays(40, 0.0, 1.2) and _screen_pays(40, -0.5, 0.9)
 
     def test_zero_hits_rate_infinite(self):
         pts = empirical_tail_rate([12], 1, 5.0, 0.0, 50, SEED)

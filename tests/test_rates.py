@@ -209,6 +209,13 @@ class TestMultiplierCutoff:
         with pytest.raises(ConstraintError, match="positive fixed-index rate"):
             multiplier_cutoff(0.5, 0.0, 2.0, 1)
 
+    @pytest.mark.parametrize("dphi1", [1e12, 1e300])
+    def test_returns_where_tol_is_below_the_float_spacing(self, dphi1):
+        # The cutoff is about 1.5 sqrt(dphi1), where adjacent floats are
+        # farther apart than tol = 1e-10: the bisection stops at them.
+        z0 = multiplier_cutoff(0.3, 0.5, dphi1, 0)
+        assert z0 / math.sqrt(dphi1) == pytest.approx(1.5295887702846, rel=1e-12)
+
 
 _SUPERCRITICAL = dict(b=st.floats(0.08, 0.92), tau=st.floats(-0.9, 0.9),
                       dphi1=st.floats(0.5, 8.0), m=st.integers(0, 4))

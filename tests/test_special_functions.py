@@ -10,6 +10,7 @@ standard-library special functions the library uses.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,14 @@ class TestLogPotential:
         # of the angular factorization vanish, the 0/0 a naive root pair hits.
         for tau in (0.0, 0.3, -0.5):
             assert log_potential(0.0, 0.0, tau, QUAD) == pytest.approx(-0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("x, y", [(1e200, 0.0), (0.0, 1e300), (-3e153, 2e153)])
+    def test_far_point_is_log_modulus(self, x, y):
+        # z * z overflows beyond 1.3e154; far out phi = log|z| to rounding.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_potential(x, y, 0.3, QUAD)
+        assert value == pytest.approx(math.log(abs(complex(x, y))), rel=1e-15)
 
     def test_cauchy_transform_finite_difference(self):
         # d/dx phi - i d/dy phi at real x > 1+tau equals (x - sqrt(x^2-4 tau))/(2 tau).
