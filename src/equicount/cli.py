@@ -273,7 +273,9 @@ def _cmd_sample_gee(args) -> int:
 
     def batches():
         trial = 0
-        for values, is_real in _eig_batches(args.n, args.tau, args.trials, seed, 1024):
+        spectra = _eig_batches(args.n, args.tau, args.trials, seed,
+                               lambda values, is_real: (values, is_real), 1024)
+        for values, is_real in spectra:
             count = values.shape[0]
             yield zip(
                 np.repeat(np.arange(trial, trial + count), args.n).tolist(),

@@ -261,10 +261,19 @@ def _frobenius(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
 
 
-def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
+def _abscissa_shift(tau: float) -> float:
+    """The shift s of the abscissa certificate at tau. On the support of the
+    ellipse law, semi-axes 1 + tau and 1 - tau, |l + s| is largest at the
+    rightmost point once s >= -4 tau / (1 + tau); 0.3 more keeps it so for
+    finite-n spectra, whose edge is ragged."""
+    return max(0.0, -4.0 * tau / (1.0 + tau)) + 0.3
+
+
+def certify_abscissa_below(mats: np.ndarray, floor: float, tau: float,
                            work: np.ndarray) -> np.ndarray:
-    """Mask of the matrices of a (batch, n, n) stack whose spectral abscissa,
-    the largest real part of an eigenvalue, is certified below ``floor``.
+    """Mask of the matrices of a (batch, n, n) stack of ensemble draws at
+    ``tau`` whose spectral abscissa, the largest real part of an eigenvalue,
+    is certified below ``floor``.
 
     For every eigenvalue l and shift s >= 0,
     Re l + s <= |l + s| <= rho(X + sI) <= ||(X + sI)^k||_F^(1/k) for every
@@ -274,7 +283,8 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
     DomainError. The bound is tested after squarings 3 to 6 (k = 8 to 64); a
     matrix leaves the block as soon as it is certified, and the survivors are
     compacted into the idle operand, so later squarings run on them alone.
-    The caller picks s so that the rightmost eigenvalues dominate |l + s|.
+    s is ``_abscissa_shift(tau)``, which lets the rightmost eigenvalues of
+    the ensemble's draws dominate |l + s|; the bound holds for any stack.
 
     Before each squaring F is scaled by an exact power of two that brings
     its Frobenius norm into [1/2, 1), so the powers neither overflow nor
@@ -294,6 +304,7 @@ def certify_abscissa_below(mats: np.ndarray, floor: float, shift: float,
         raise DomainError(f"certify_abscissa_below screens one block of at most "
                           f"{work.shape[1]} matrices, got {batch}")
     certified = np.zeros(batch, dtype=bool)
+    shift = _abscissa_shift(tau)
     if not floor + shift > 0.0:
         return certified
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)

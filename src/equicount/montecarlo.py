@@ -25,22 +25,21 @@ count of real eigenvalues.
 
 All read their spectra from one batch driver, ``_eig_batches``, and are
 deterministic given (seed, n_trials); see ``sampling`` for the substream
-contract. At n >= 4 the batches run concurrently, on one thread per CPU of
-the affinity mask (``eig_workers``) but no more than there are batches; the
-contract makes every result independent of that, and of each batch being
-sampled into one of the driver's reused buffers, 512 KiB per worker (768 KiB
-when screened), and eigensolved chunk by chunk to bound memory. The
-functionals of one ranked eigenvalue keep only the columns they read: the
-identity's right side and concentration keep that eigenvalue, its mirror
-(``_readings``) and their realness, tail rates one eigenvalue and one flag
-per trial (68 KiB per 4096-trial batch).
+contract. Each passes the driver a read, the functional of an ordered
+spectrum it keeps (per-trial contributions, integrals, hit flags, ...),
+which the driver applies chunk by chunk, so a batch in flight holds its
+read, not its spectrum. At n >= 4 the batches run concurrently, on one
+thread per CPU of the affinity mask (``eig_workers``) but no more than there
+are batches; the contract makes every result independent of that, and of
+each batch being sampled into one of the driver's reused buffers, 512 KiB
+per worker (768 KiB when screened), and eigensolved chunk by chunk.
 
 Tail rates at n >= 4 also pass the driver a floor, x: each chunk is
 screened first, as one block, by a certified upper bound on every matrix's
 spectral abscissa (``gee.certify_abscissa_below``), and a trial certified
-below x, which cannot hit, skips the eigensolver and comes back as -inf,
-not real; a chunk certified whole skips it altogether. That leaves about 2%
-of the n = 40 trials to LAPACK at x = 1.2, tau = 0, and 38% at x = 1.02; at
+below x, which cannot hit, is neither eigensolved nor read; a chunk
+certified whole makes no eigensolver call. That leaves about 2% of the
+n = 40 trials to LAPACK at x = 1.2, tau = 0, and 38% at x = 1.02; at
 tau <= -0.8 nothing is certified. The counts are those of eigensolving
 every trial.
 """
@@ -53,7 +52,6 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import starmap
 
 import numpy as np
 
@@ -126,62 +124,42 @@ def eig_workers(n: int) -> int:
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _abscissa_shift(tau: float) -> float:
-    """The shift s of the abscissa certificate (``certify_abscissa_below``)
-    at tau. On the support of the ellipse law, semi-axes 1 + tau and
-    1 - tau, |l + s| is largest at the rightmost point once
-    s >= -4 tau / (1 + tau); 0.3 more keeps it so for finite-n spectra, whose
-    edge is ragged."""
-    return max(0.0, -4.0 * tau / (1.0 + tau)) + 0.3
-
-
 def _eig_batch(n: int, tau: float, seed: int, index: int, take: int, buf: np.ndarray,
-               ranks: list[int] | None = None, floor: float | None = None,
-               work: np.ndarray | None = None):
-    """Ordered eigenvalues and realness of batch ``index``, drawn from
-    ``substream(seed, index)`` into ``buf`` and eigensolved one chunk of
-    ``len(buf)`` matrices at a time; when given, ``ranks`` lists the 0-based
-    ranks kept, as a (take, len(ranks)) block.
+               read, floor: float | None, work: np.ndarray):
+    """``read(values, is_real)`` of batch ``index``: the batch is drawn from
+    ``substream(seed, index)`` into ``buf`` one chunk of ``len(buf)``
+    matrices at a time, each chunk's ordered spectrum is read, and the
+    chunks' reads are joined in order along the first axis, part by part
+    when a read is a tuple.
 
     Given ``floor``, each chunk is first screened as one block on ``work``
     (see ``certify_abscissa_below``), two operands shaped like ``buf``: a
-    trial certified to have no eigenvalue with real part >= floor skips the
-    eigensolver and comes back with every kept value -inf and none real, and
-    a chunk certified whole makes no eigensolver call. The other trials are
-    eigensolved as without a floor.
+    trial certified to have no eigenvalue with real part >= floor is neither
+    eigensolved nor read, and a chunk certified whole is read as an empty
+    (0, n) spectrum, with no eigensolver call.
 
     The sampler consumes the stream in order and the eigensolver works matrix
-    by matrix, so the values are bitwise those of one whole-batch draw. A
-    batch of one unscreened chunk hands over the eigensolver's arrays (or
-    their kept columns) as they are; the results never alias ``buf``.
+    by matrix, so the values read are bitwise those of one whole-batch draw.
     """
     rng = substream(seed, index)
-    cols = slice(None) if ranks is None else ranks
-    values = is_real = None
+    empty = np.empty((0, n), dtype=complex), np.empty((0, n), dtype=bool)
+    reads = []
     for start in range(0, take, len(buf)):
         mats = sample_gee_entries(n, tau, rng, min(len(buf), take - start), out=buf)
-        rows = slice(start, start + len(mats))
         if floor is not None:
-            solve = np.flatnonzero(~certify_abscissa_below(mats, floor, _abscissa_shift(tau), work))
-            mats, rows = mats[solve], solve + start
-        elif len(mats) == take:
-            part_values, part_real = eigvals_batch(mats)
-            return part_values[:, cols], part_real[:, cols]
-        if values is None:
-            shape = (take, n if ranks is None else len(ranks))
-            values, is_real = np.full(shape, -math.inf, dtype=complex), np.zeros(shape, dtype=bool)
-        if len(mats):  # a chunk the screen certified whole needs no eigensolve
-            part_values, part_real = eigvals_batch(mats)
-            values[rows], is_real[rows] = part_values[:, cols], part_real[:, cols]
-    return values, is_real
+            mats = mats[~certify_abscissa_below(mats, floor, tau, work)]
+        reads.append(read(*(eigvals_batch(mats) if len(mats) else empty)))
+    if isinstance(reads[0], tuple):
+        return tuple(map(np.concatenate, zip(*reads)))
+    return np.concatenate(reads)
 
 
-def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
-                 batch_size: int = DEFAULT_BATCH_SIZE, ranks: list[int] | None = None,
-                 floor: float | None = None):
-    """Yield (ordered eigenvalues, realness) of each batch, in batch order:
-    (batch, n) arrays, or the columns ``ranks`` selects; ``floor`` screens
-    out trials with no eigenvalue of real part >= floor (see ``_eig_batch``).
+def _eig_batches(n: int, tau: float, n_trials: int, seed: int, read,
+                 batch_size: int = DEFAULT_BATCH_SIZE, floor: float | None = None):
+    """Yield ``read(values, is_real)`` of each batch's ordered spectra, in
+    batch order, read chunk by chunk (see ``_eig_batch``) on the worker
+    threads, so ``read`` must not change shared state; ``floor`` screens
+    out trials with no eigenvalue of real part >= floor, which are not read.
 
     Batch j draws from ``substream(seed, j)``, so its values do not depend on
     which thread computes it. The batches run on min(``eig_workers(n)``,
@@ -190,12 +168,11 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
     n = 40): the sample buffer and the screen's two operands, so that each
     chunk is screened as one block. Batch j uses the buffers of worker
     j mod workers, and is queued only after batch j - workers is handed
-    over, so a batch in flight holds its buffers and its result: the
-    (batch, n) spectrum, or with ``ranks`` one value per trial and kept
-    rank. One worker runs a queued batch when its turn comes; more run on a
-    thread pool (numpy's sampler and eigensolver release the GIL). An error
-    in a batch is raised here, and closing the generator early waits for the
-    batches in flight.
+    over, so a batch in flight holds its buffers and its read, not its
+    spectrum. One worker runs a queued batch when its turn comes; more run
+    on a thread pool (numpy's sampler and eigensolver release the GIL). An
+    error in a batch is raised here, and closing the generator early waits
+    for the batches in flight.
     """
     batches = list(batch_sizes(n_trials, batch_size))
     workers = min(eig_workers(n), len(batches))
@@ -212,7 +189,7 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
         pending = deque()
         for index, take in batches:
             slot = index % workers
-            args = (n, tau, seed, index, take, bufs[slot][0], ranks, floor, bufs[slot][1:])
+            args = (n, tau, seed, index, take, bufs[slot][0], read, floor, bufs[slot][1:])
             pending.append(partial(_eig_batch, *args) if workers == 1
                            else pool.submit(_eig_batch, *args).result)
             if len(pending) == workers:
@@ -222,13 +199,10 @@ def _eig_batches(n: int, tau: float, n_trials: int, seed: int,
 
 
 def _readings(values: np.ndarray, is_real: np.ndarray):
-    """The direct reading (Re l, realness) of ordered spectrum columns and
-    the mirror one (-Re l, realness) of the reversed columns. X -> -X keeps
-    the ensemble's law and maps 0-based rank r to minus rank n-1-r, realness
-    kept, so column j of both has one law and is tested in the same window.
-    The columns must be a whole spectrum or the kept pair [k, n-1-k], in
-    that order (k twice for the middle rank), so the reversed columns are
-    the mirror readings."""
+    """The direct reading (Re l, realness) of ordered spectra and the mirror
+    one (-Re l, realness) of the reversed spectra. X -> -X keeps the
+    ensemble's law and maps 0-based rank r to minus rank n-1-r, realness
+    kept, so column j of both has one law and is tested in the same window."""
     re = values.real
     return (re, is_real), (-re[:, ::-1], is_real[:, ::-1])
 
@@ -261,8 +235,7 @@ def _count_contributions(n: int, p: ModelParams, window: IntervalB, n_trials: in
         contrib *= 0.5
         return contrib.T
 
-    # A batch's spectrum and readings are freed before the next one is drawn.
-    yield from starmap(contributions, _eig_batches(n, tau, n_trials, seed))
+    yield from _eig_batches(n, tau, n_trials, seed, contributions)
 
 
 @dataclass(frozen=True)
@@ -433,8 +406,8 @@ def verify_dimension_lift(
 
     lhs_moments = RunningMoments()
     lhs_support = 0
-    for values, is_real in _eig_batches(n - 1, tau, n_trials, seed_lhs):
-        y, live = _lift_integrals(values, is_real, m, c, t_lo, t_hi)
+    integrals = partial(_lift_integrals, m=m, c=c, t_lo=t_lo, t_hi=t_hi)
+    for y, live in _eig_batches(n - 1, tau, n_trials, seed_lhs, integrals):
         lhs_moments.add(y)
         lhs_support += int(live.sum())
     lhs = lhs_moments.estimate(seed_lhs)
@@ -444,10 +417,14 @@ def verify_dimension_lift(
     root_n = math.sqrt(n)
     rhs_moments = RunningMoments()
     rhs_support = np.zeros(2, dtype=np.int64)  # direct, mirror
-    # Rank m+1 is 0-based index m; keep it and its mirror rank n-1-m, in that order.
-    for batch in _eig_batches(n, tau, n_trials, seed_rhs, ranks=[m, n - 1 - m]):
-        live = np.stack([real[:, 0] & window.contains(root_n * re[:, 0])
-                         for re, real in _readings(*batch)])
+
+    def hits(values, is_real):
+        # Rank m+1 is 0-based index m, read directly and mirrored.
+        return tuple(real[:, m] & window.contains(root_n * re[:, m])
+                     for re, real in _readings(values, is_real))
+
+    for direct, mirror in _eig_batches(n, tau, n_trials, seed_rhs, hits):
+        live = np.stack([direct, mirror])
         rhs_moments.add(live.sum(axis=0) * (0.5 * const))
         rhs_support += live.sum(axis=1)
     rhs = rhs_moments.estimate(seed_rhs)
@@ -462,8 +439,8 @@ def verify_dimension_lift(
 @dataclass(frozen=True)
 class TailRatePoint:
     """Empirical tail rate at one matrix size; ``eigensolved`` counts the
-    trials the abscissa screen could not rule out, which went to the
-    eigensolver (all of them at n <= 3, which is not screened)."""
+    trials read, those the abscissa screen could not rule out, which went to
+    the eigensolver (all of them at n <= 3, which is not screened)."""
 
     n: int
     rate_hat: float
@@ -498,16 +475,20 @@ def empirical_tail_rate(
         if not m <= n:
             raise DomainError(f"requires m <= n, got m={m}, n={n}")
     reference = m * rate_function(x, tau)
+
+    def hit(values, is_real):
+        # Rank m is 0-based index m-1.
+        return is_real[:, m - 1] & (values[:, m - 1].real >= x)
+
     out = []
     for i, n in enumerate(n_list):
-        # Rank m is 0-based index m-1, the one column kept. The closed forms
-        # (n <= 3) are cheaper than the screen, so only LAPACK sizes get a floor.
+        # The closed forms (n <= 3) are cheaper than the screen, so only
+        # LAPACK sizes get a floor.
         floor = x if n >= 4 else None
-        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=[m - 1], floor=floor)
         hits = eigensolved = 0
-        for values, real in batches:
-            hits += int((real[:, 0] & (values[:, 0].real >= x)).sum())
-            eigensolved += int(np.isfinite(values[:, 0].real).sum())
+        for flags in _eig_batches(n, tau, n_trials, derive_seed(seed, i), hit, floor=floor):
+            hits += int(flags.sum())
+            eigensolved += len(flags)
         rate_hat = math.inf if hits == 0 else -math.log(hits / n_trials) / n
         out.append(TailRatePoint(
             n=n, rate_hat=rate_hat, hits=hits, n_trials=n_trials,
@@ -530,8 +511,7 @@ def empirical_spectral_test(
         raise DomainError(f"requires -1 < tau < 1, got tau={tau}")
     pooled = np.empty(n * n_trials)
     done = 0
-    for values, _ in _eig_batches(n, tau, n_trials, seed):
-        flat = values.real.ravel()
+    for flat in _eig_batches(n, tau, n_trials, seed, lambda values, is_real: values.real.ravel()):
         pooled[done : done + flat.size] = flat
         done += flat.size
     pooled.sort()
@@ -551,8 +531,8 @@ def prob_k_real(n: int, tau: float, n_trials: int, seed: int) -> list[MCEstimate
     if n < 1:
         raise DomainError(f"prob_k_real requires n >= 1, got {n}")
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, is_real in _eig_batches(n, tau, n_trials, seed):
-        counts += np.bincount(is_real.sum(axis=1), minlength=n + 1)
+    for k in _eig_batches(n, tau, n_trials, seed, lambda values, is_real: is_real.sum(axis=1)):
+        counts += np.bincount(k, minlength=n + 1)
     return [MCEstimate(mean=float(p), stderr=math.sqrt(p * (1.0 - p) / n_trials),
                        n_trials=n_trials, seed=seed) for p in counts / n_trials]
 
@@ -576,13 +556,18 @@ def concentration_miss_fractions(
     if not epsilon > 0.0:
         raise DomainError(f"requires epsilon > 0, got {epsilon}")
     s = tail_quantile(gamma, tau)
+
+    def misses(rank0, values, is_real):
+        # Per trial, how many of the direct and the mirror reading miss.
+        return sum((re[:, rank0] <= s - epsilon) | (re[:, rank0] >= s + epsilon)
+                   for re, _ in _readings(values, is_real))
+
     out = []
     for i, n in enumerate(n_list):
         rank0 = math.ceil(gamma * n) - 1
         if not 0 <= rank0 < n:
             raise DomainError(f"ceil(gamma n) out of range for n={n}")
-        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), ranks=[rank0, n - 1 - rank0])
-        missed = sum(int(((re[:, 0] <= s - epsilon) | (re[:, 0] >= s + epsilon)).sum())
-                     for batch in batches for re, _ in _readings(*batch))
+        batches = _eig_batches(n, tau, n_trials, derive_seed(seed, i), partial(misses, rank0))
+        missed = sum(int(k.sum()) for k in batches)
         out.append((n, missed / (2 * n_trials)))
     return out

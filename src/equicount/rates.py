@@ -232,7 +232,8 @@ def multiplier_cutoff(
     strictly increasing and unbounded there, with g(threshold) equal to minus
     the fixed-index rate; a root exists precisely when that rate is positive
     (parameters above the threshold curve), otherwise the window rate is
-    already negative at the threshold and a ConstraintError is raised.
+    already negative at the threshold and a ConstraintError is raised. The
+    bracket narrows to tol, relative to the threshold when that is below 1.
     """
     _check_rate_domain(b, tau)
     if not dphi1 > 0.0:
@@ -260,7 +261,7 @@ def multiplier_cutoff(
         hi *= 2.0
     else:
         raise ConstraintError("multiplier cutoff bracketing failed to find a sign change")
-    while hi - lo > tol:
+    while hi - lo > tol * min(1.0, threshold):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats: tol is below their spacing
             break

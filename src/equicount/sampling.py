@@ -7,15 +7,8 @@ split into batches of ``DEFAULT_BATCH_SIZE`` trials; batch ``j`` draws from
 the generator ``substream(seed, j)``, possibly in consecutive pieces that
 consume it in order, and reductions run in batch order. The public
 estimators' results are therefore bit-identical for a given
-(seed, n_trials) regardless of how batches are split or scheduled:
-``montecarlo._eig_batches`` draws each in chunks into a buffer of at most
-512 KiB that it owns and reuses (one per worker, with the screen's two
-operands beside it when screened), computes them concurrently at LAPACK
-sizes on no more workers than there are batches, and hands them over in
-batch order. A floor given to it (the tail rates', at n >= 4) only
-lets trials that cannot reach the floor skip the eigensolver; it reads no
-random numbers, and every trial it keeps gets the same spectrum, so the
-results stay those of (seed, n_trials). Derived seeds for
+(seed, n_trials) regardless of how batches are split into chunks, screened
+or scheduled (see ``montecarlo._eig_batches``). Derived seeds for
 independent sub-tasks (e.g. the two sides of an identity check) come from
 ``derive_seed``.
 """

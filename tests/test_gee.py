@@ -7,6 +7,7 @@ quadrature of the density.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from equicount.gee import (
     log_eigenvalue_density,
     sample_gee_entries,
 )
-from equicount.montecarlo import _abscissa_shift, prob_k_real
+from equicount.montecarlo import prob_k_real
 from equicount.sampling import batch_sizes, substream
 
 SEED = 31337
@@ -275,11 +276,18 @@ def test_closed_forms_reject_non_finite_entries(n, bad):
         eigvals_batch(mats)
 
 
+def certify_with_shift(mats, floor: float, shift: float, work) -> np.ndarray:
+    """``certify_abscissa_below`` with its shift s set to ``shift`` in place
+    of the ensemble's, so that the bound is tried at any s >= 0."""
+    with mock.patch.object(gee, "_abscissa_shift", lambda tau: shift):
+        return certify_abscissa_below(mats, floor, 0.0, work)
+
+
 def screened_soundly(mats, floor: float, shift: float) -> np.ndarray:
-    """``certify_abscissa_below`` on a stack, as one block, after checking
-    that no matrix it certifies has a LAPACK abscissa >= floor."""
+    """``certify_abscissa_below`` at shift s on a stack, as one block, after
+    checking that no matrix it certifies has a LAPACK abscissa >= floor."""
     batch, n, _ = mats.shape
-    certified = certify_abscissa_below(mats, floor, shift, np.empty((2, batch, n, n)))
+    certified = certify_with_shift(mats, floor, shift, np.empty((2, batch, n, n)))
     abscissa = np.linalg.eigvals(mats).real.max(axis=1)
     assert not (certified & (abscissa >= floor)).any()
     return certified
@@ -360,7 +368,7 @@ class TestAbscissaCertificate:
         mats = scale * sample_gee_entries(n, tau, np.random.default_rng(seed), 30)
         abscissa = np.linalg.eigvals(mats).real.max(axis=1)
         floor = float(np.quantile(abscissa, quantile)) * (1.0 + nudge)
-        shift = _abscissa_shift(tau) * scale if shift is None else shift * scale
+        shift = gee._abscissa_shift(tau) * scale if shift is None else shift * scale
         screened_soundly(mats, floor, shift)
 
     @pytest.mark.parametrize("name", ["jordan", "triangular", "just-below"])
@@ -393,7 +401,7 @@ class TestAbscissaCertificate:
         certified, at floors at and around the draws' abscissae."""
         mats = sample_gee_entries(n, tau, np.random.default_rng(SEED + n), 30)
         abscissa = np.linalg.eigvals(mats).real.max(axis=1)
-        shift = _abscissa_shift(tau)
+        shift = gee._abscissa_shift(tau)
         before = after = 0
         for quantile in (0.0, 0.5, 0.9, 1.0):
             for nudge in (0.0, 2.0 ** -30, 0.01, 0.05, 0.2):
@@ -419,7 +427,7 @@ class TestAbscissaCertificate:
         work = np.empty((2, len(mats), 16, 16))
         for depth in range(3, 7):
             monkeypatch.setattr(gee, "_SQUARINGS", depth)
-            got = certify_abscissa_below(mats, 1.0, 0.0, work)
+            got = certify_with_shift(mats, 1.0, 0.0, work)
             want = [first[c] is not None and first[c] <= depth for c in order] + [False]
             assert got.tolist() == want
 
@@ -428,12 +436,12 @@ class TestAbscissaCertificate:
         mats = 0.1 * np.stack([np.eye(6)] * 3)
         mats[1, 2, 4] = bad
         work = np.empty((2, 3, 6, 6))
-        assert certify_abscissa_below(mats, 1.0, 0.3, work).tolist() == [True, False, True]
+        assert certify_abscissa_below(mats, 1.0, 0.0, work).tolist() == [True, False, True]
 
     def test_stack_larger_than_work_rejected(self):
         mats = 0.1 * np.stack([np.eye(6)] * 3)
         with pytest.raises(DomainError, match="one block of at most 2 matrices, got 3"):
-            certify_abscissa_below(mats, 1.0, 0.3, np.empty((2, 2, 6, 6)))
+            certify_abscissa_below(mats, 1.0, 0.0, np.empty((2, 2, 6, 6)))
 
 
 class TestRankedEigenvalue:

@@ -18,7 +18,6 @@ from equicount.montecarlo import (
     FULL_LINE,
     MIN_HITS,
     IntervalB,
-    _abscissa_shift,
     _eig_batches,
     _gaussian_moments,
     _lift_integrals,
@@ -86,6 +85,29 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
+def whole(values, is_real):
+    """The identity read: the ordered spectra and their realness."""
+    return values, is_real
+
+
+def column(k):
+    """A one-column read: the values of 0-based rank k, in an array of their own."""
+    return lambda values, is_real: values[:, k].copy()
+
+
+def pair(j, k):
+    """A tuple read: the values and realness of 0-based ranks j and k, in that order."""
+    return lambda values, is_real: (values[:, [j, k]], is_real[:, [j, k]])
+
+
+def same_bits(got, want) -> bool:
+    """Two reads agree bit for bit, part by part when they are tuples."""
+    got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want))
+
+
 class TestEigBatches:
     """The batch driver: a thread pool at LAPACK sizes, forced here to three
     workers so the pool runs, and oversubscribed, on any machine."""
@@ -107,58 +129,58 @@ class TestEigBatches:
         *((100, tau, n_trials) for tau in (0.0, 0.3) for n_trials in (1, 7, 13)),
     ])
     def test_matches_inline_loop_bitwise(self, monkeypatch, n, tau, n_trials):
-        """On the pool and on the one-worker path, whole spectra, the column
-        of one rank and a mirror pair of ranks, kept in the order asked for;
-        batches of n >= 40 span several chunks (40 matrices at n = 40, 6 at
-        n = 100)."""
+        """On the pool and on the one-worker path, each batch's joined read is
+        the read of its whole spectrum, for the identity read, a one-column
+        read and a tuple read; batches of n >= 40 span several chunks (40
+        matrices at n = 40, 6 at n = 100)."""
         want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
         for workers in (3, 1):
             monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
-            for ranks in (None, [0], [n // 2], [n - 1], [n - 2, 1]):
-                got = list(_eig_batches(n, tau, n_trials, SEED, 4096, ranks))
+            for read in (whole, column(n // 2), pair(n - 2, 1)):
+                got = list(_eig_batches(n, tau, n_trials, SEED, read, 4096))
                 assert len(got) == len(want)
-                for (values, is_real), (values_ref, is_real_ref) in zip(got, want):
-                    if ranks is not None:
-                        values_ref, is_real_ref = values_ref[:, ranks], is_real_ref[:, ranks]
-                    assert values.shape == values_ref.shape
-                    assert np.array_equal(bits(values), bits(values_ref))
-                    assert np.array_equal(is_real, is_real_ref)
+                for part, spectrum in zip(got, want):
+                    assert same_bits(part, read(*spectrum))
 
     @pytest.mark.parametrize("n, tau, n_trials, floor", [
         (4, 0.0, 4097, 1.2), (10, 0.3, 3 * 4096 + 5, 1.5), (40, 0.0, 4096 + 41, 1.2),
         (40, 0.9, 41, 1.95), (100, 0.0, 13, 1.06),
     ])
     def test_screened_rows_match_unscreened_bitwise(self, monkeypatch, n, tau, n_trials, floor):
-        """With a floor, a trial is either eigensolved, bit for bit as without
-        one, or screened out with -inf values, none real, and then no
-        eigenvalue of its unscreened spectrum reaches the floor. Batches of
-        n >= 40 span several chunks, each screened as one block."""
+        """With a floor, the read sees the trials the screen keeps, in trial
+        order and bit for bit as without one, and no eigenvalue of a trial it
+        skips reaches the floor. The identity read finds the rows kept; a
+        one-column and a tuple read must read those rows. Batches of n >= 40
+        span several chunks, each screened as one block."""
         want = inline_eig_batches(n, tau, n_trials, SEED, 4096)
         for workers in (3, 1):
             monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
-            for ranks in (None, [0], [n - 1]):
-                screened = 0
-                got = _eig_batches(n, tau, n_trials, SEED, 4096, ranks, floor)
-                for (values, is_real), (values_ref, is_real_ref) in zip(got, want, strict=True):
-                    kept = np.isfinite(values[:, 0].real)
-                    assert (values_ref[~kept].real.max(axis=1) < floor).all()
-                    assert (values[~kept] == -math.inf).all() and not is_real[~kept].any()
-                    if ranks is not None:
-                        values_ref, is_real_ref = values_ref[:, ranks], is_real_ref[:, ranks]
-                    assert values.shape == values_ref.shape
-                    assert np.array_equal(bits(values[kept]), bits(values_ref[kept]))
-                    assert np.array_equal(is_real[kept], is_real_ref[kept])
-                    screened += int((~kept).sum())
-                assert 0 < screened < n_trials
+            screened, kept = 0, []
+            got = _eig_batches(n, tau, n_trials, SEED, whole, 4096, floor)
+            for (values, is_real), (values_ref, is_real_ref) in zip(got, want, strict=True):
+                index = {row.tobytes(): i for i, row in enumerate(values_ref)}
+                rows = np.array([index[row.tobytes()] for row in values], dtype=np.intp)
+                assert (np.diff(rows) > 0).all()
+                assert np.array_equal(is_real, is_real_ref[rows])
+                skipped = np.delete(np.arange(len(values_ref)), rows)
+                assert (values_ref[skipped].real.max(axis=1) < floor).all()
+                screened += len(skipped)
+                kept.append(rows)
+            assert 0 < screened < n_trials
+            for read in (column(n - 1), pair(n - 2, 1)):
+                got = _eig_batches(n, tau, n_trials, SEED, read, 4096, floor)
+                for part, rows, (values_ref, is_real_ref) in zip(got, kept, want, strict=True):
+                    assert same_bits(part, read(values_ref[rows], is_real_ref[rows]))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_screened_memory_is_buffers_and_one_column(self, monkeypatch, workers):
         """A screened worker owns three 256 KiB buffers, the sample buffer
-        and the screen's two operands, which take each chunk as one block."""
+        and the screen's two operands, which take each chunk as one block,
+        and a batch in flight holds a one-column read."""
         monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
         tracemalloc.start()
         try:
-            for _ in _eig_batches(40, 0.0, 8192, SEED, 4096, [0], 1.2):
+            for _ in _eig_batches(40, 0.0, 8192, SEED, column(0), 4096, 1.2):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -167,12 +189,13 @@ class TestEigBatches:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_batch_stack(self, monkeypatch, workers):
-        """A batch in flight holds its spectrum and one 512 KiB chunk; a full
-        4096 x 40 x 40 stack alone would be 50 MiB."""
+        """A batch in flight holds its read, here the identity read of its
+        spectrum, and one 512 KiB chunk; a full 4096 x 40 x 40 stack alone
+        would be 50 MiB."""
         monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
         tracemalloc.start()
         try:
-            for _ in _eig_batches(40, 0.0, 8192, SEED, 4096):
+            for _ in _eig_batches(40, 0.0, 8192, SEED, whole, 4096):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -181,16 +204,16 @@ class TestEigBatches:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ranked_memory_is_buffers_and_one_column(self, monkeypatch, workers):
-        """A ranked batch in flight holds one reused 512 KiB sample buffer per
-        worker and one value per trial and kept rank, read here as the tail
-        rate reads one rank and the identity's right side a mirror pair;
-        whole (4096, 40) spectra would be 2.5 MiB each."""
+        """A batch in flight holds one reused 512 KiB sample buffer per
+        worker and its read, here a one-column read and a tuple read of a
+        mirror pair: one value per trial and rank read, where whole (4096,
+        40) spectra would be 2.5 MiB each."""
         monkeypatch.setattr(montecarlo, "eig_workers", lambda n: workers)
         tracemalloc.start()
         try:
-            for ranks in ([0], [0, 39]):
-                for batch in _eig_batches(40, 0.0, 8192, SEED, 4096, ranks):
-                    _readings(*batch)
+            for read in (column(0), pair(0, 39)):
+                for _ in _eig_batches(40, 0.0, 8192, SEED, read, 4096):
+                    pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -208,7 +231,7 @@ class TestEigBatches:
         monkeypatch.setattr(montecarlo, "eigvals_batch", fail_on_ragged_batch)
         before = threading.active_count()
         with pytest.raises(EigensolverError) as info:
-            for _ in _eig_batches(6, 0.3, 3 * 64 + 5, SEED, 64):
+            for _ in _eig_batches(6, 0.3, 3 * 64 + 5, SEED, whole, 64):
                 pass
         assert info.value is error
         assert threading.active_count() == before
@@ -221,14 +244,14 @@ class TestEigBatches:
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
-        for values, _ in _eig_batches(n, 0.3, n_trials, SEED, 4096):
+        for values, _ in _eig_batches(n, 0.3, n_trials, SEED, whole, 4096):
             assert values.shape == (n_trials, n)
             assert started == []
         assert started == []
 
     def test_early_break_joins_workers(self):
         before = threading.active_count()
-        for _ in _eig_batches(10, 0.3, 8 * 512, SEED, 512):
+        for _ in _eig_batches(10, 0.3, 8 * 512, SEED, whole, 512):
             break
         assert threading.active_count() == before
 
@@ -345,7 +368,8 @@ class TestEstimateEquilibriaCount:
 
 def reference_contributions(n, p, window, n_trials, seed):
     """The count estimator's per-trial columns from its earlier per-rank
-    loop, whose mirror reading had its own mask: rank k in (-hi, -lo]."""
+    loop, whose mirror reading had its own mask: rank k in (-hi, -lo], on
+    whole-batch spectra drawn without the batch driver."""
     tau, b = derive_tau_b(p)
     log_pref = (
         math.log(2.0)
@@ -355,7 +379,7 @@ def reference_contributions(n, p, window, n_trials, seed):
     taper = n * (1.0 - b * b) / (2.0 * (b * b + tau) * (1.0 + tau))
     scale = math.sqrt(p.dphi1)
     out = []
-    for values, is_real in _eig_batches(n, tau, n_trials, seed):
+    for values, is_real in inline_eig_batches(n, tau, n_trials, seed, 4096):
         contrib = np.zeros((n, len(values)))
         for k in range(n):
             lam = values[:, k].real
@@ -371,9 +395,10 @@ def reference_contributions(n, p, window, n_trials, seed):
 @pytest.mark.parametrize("window", [
     FULL_LINE, IntervalB(-0.7, 1.3), IntervalB(0.4, math.inf), IntervalB(-math.inf, 0.0),
 ], ids=["whole-line", "straddling-0", "one-sided", "end-at-0"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10])
 def test_count_contributions_match_reference_bitwise(n, window):
-    # 5000 trials: a full batch and a ragged one; tau = 0.3.
+    # 5000 trials: a full batch and a ragged one; tau = 0.3. From n = 5 on,
+    # the driver reads each batch in several chunks.
     params = ModelParams(phi1=1.0, dphi1=2.0, phi2=0.6, sigma2=0.25)
     got = np.concatenate(list(_count_contributions(n, params, window, 5000, SEED)))
     want = reference_contributions(n, params, window, 5000, SEED)
@@ -426,9 +451,12 @@ def direct_only_rhs(n, m, tau, window, n_trials, seed):
     on the trials ``verify_dimension_lift(..., seed=seed)`` draws."""
     moments = RunningMoments()
     const = lift_constant(n, tau)
-    for values, is_real in _eig_batches(n, tau, n_trials, derive_seed(seed, 1), ranks=[m]):
-        live = is_real[:, 0] & window.contains(math.sqrt(n) * values[:, 0].real)
-        moments.add(np.where(live, const, 0.0))
+
+    def live(values, is_real):
+        return is_real[:, m] & window.contains(math.sqrt(n) * values[:, m].real)
+
+    for hit in _eig_batches(n, tau, n_trials, derive_seed(seed, 1), live):
+        moments.add(np.where(hit, const, 0.0))
     return moments.estimate(seed)
 
 
@@ -439,20 +467,12 @@ class TestMirrorReadings:
 
     @pytest.mark.parametrize("n, rank0", [(3, 1), (4, 1), (5, 3), (1, 0)])
     def test_rows_are_direct_column_and_negated_mirror(self, n, rank0):
-        # Read from the kept pair [rank0, n-1-rank0] (or the middle rank
-        # alone), column 0 of the readings is the direct column and the
-        # negated mirror column of the whole spectrum, realness kept; read
-        # from the whole spectrum, every column is.
-        mirror0 = n - 1 - rank0
-        kept = list(dict.fromkeys((rank0, mirror0)))
-        pairs = _eig_batches(n, 0.3, 5000, SEED, 4096, kept)
-        for batch, (values, is_real) in zip(pairs, _eig_batches(n, 0.3, 5000, SEED, 4096)):
-            (lam, real), (mirror, mirror_real) = _readings(*batch)
-            assert np.array_equal(lam[:, 0], values[:, rank0].real)
-            assert np.array_equal(mirror[:, 0], -values[:, mirror0].real)
-            assert np.array_equal(real[:, 0], is_real[:, rank0])
-            assert np.array_equal(mirror_real[:, 0], is_real[:, mirror0])
+        # Every column of the readings is the direct column and the negated
+        # mirror column of the spectrum, realness kept: at rank0, the mirror
+        # reads rank n-1-rank0.
+        for values, is_real in _eig_batches(n, 0.3, 5000, SEED, whole, 4096):
             (lam, real), (mirror, mirror_real) = _readings(values, is_real)
+            assert np.array_equal(mirror[:, rank0], -values[:, n - 1 - rank0].real)
             assert np.array_equal(lam, values.real) and np.array_equal(real, is_real)
             assert np.array_equal(mirror, -values.real[:, ::-1])
             assert np.array_equal(mirror_real, is_real[:, ::-1])
@@ -481,9 +501,8 @@ class TestMirrorReadings:
         paired = concentration_miss_fractions([n], gamma, tau, n_trials, epsilon, SEED + 23)[0][1]
         s = tail_quantile(gamma, tau)
         ranked = _eig_batches(n, tau, n_trials, derive_seed(SEED + 24, 0),
-                              ranks=[math.ceil(gamma * n) - 1])
-        direct = sum(int((abs(values[:, 0].real - s) >= epsilon).sum())
-                     for values, _ in ranked) / n_trials
+                              column(math.ceil(gamma * n) - 1))
+        direct = sum(int((abs(values.real - s) >= epsilon).sum()) for values in ranked) / n_trials
         # The paired variance is at most the direct one, so sqrt(2) binomial
         # errors bound the combined error.
         sigma = math.sqrt(2.0 * direct * (1.0 - direct) / n_trials)
@@ -600,18 +619,28 @@ class TestEmpiricalTailRate:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_reads_one_rank(self, monkeypatch, m):
-        # The tail reads rank m alone, screened at x; no mirror column is
-        # kept at n = 10.
+        # The tail reads one hit flag per trial from rank m alone, screened
+        # at x: blanking every other rank changes no flag at n = 10.
         seen = []
         batches = montecarlo._eig_batches
 
         def recording(*args, **kwargs):
-            seen.append((kwargs["ranks"], kwargs["floor"]))
+            seen.append((args[4], kwargs["floor"]))
             return batches(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_eig_batches", recording)
         empirical_tail_rate([10], m, 1.2, 0.0, 5000, SEED)
-        assert seen == [([m - 1], 1.2)]
+        ((read, floor),) = seen
+        assert floor == 1.2
+        # Draws shifted right by 0.6 (order and realness kept), so rank 3 hits too.
+        values, is_real = eigvals_batch(sample_gee_entries(10, 0.0, substream(SEED, 0), 4096))
+        values += 0.6
+        want = is_real[:, m - 1] & (values[:, m - 1].real >= 1.2)
+        assert want.any() and not want.all()
+        assert np.array_equal(read(values, is_real), want)
+        blank_values, blank_real = np.full_like(values, math.nan), np.zeros_like(is_real)
+        blank_values[:, m - 1], blank_real[:, m - 1] = values[:, m - 1], is_real[:, m - 1]
+        assert np.array_equal(read(blank_values, blank_real), want)
 
     @pytest.mark.parametrize("n_list, m, x, tau", [
         ([10, 20, 40], 1, 1.2, 0.0), ([4, 12], 2, 1.4, 0.3), ([3, 40], 1, 0.8, -0.5),
@@ -623,7 +652,7 @@ class TestEmpiricalTailRate:
         screen no room to certify a trial; elsewhere it rules some out."""
         screened = empirical_tail_rate(n_list, m, x, tau, 3000, SEED)
         monkeypatch.setattr(montecarlo, "certify_abscissa_below",
-                            lambda mats, floor, shift, work: np.zeros(len(mats), dtype=bool))
+                            lambda mats, floor, tau, work: np.zeros(len(mats), dtype=bool))
         plain = empirical_tail_rate(n_list, m, x, tau, 3000, SEED)
         assert [replace(p, eigensolved=0) for p in screened] == [
             replace(p, eigensolved=0) for p in plain]
@@ -656,7 +685,16 @@ class TestEmpiricalTailRate:
         right end dominant (16.3) leaves no room to certify a draw."""
         mats = sample_gee_entries(40, -0.8, substream(SEED, 0), 200)
         work = np.empty((2, 200, 40, 40))
-        assert not certify_abscissa_below(mats, 0.3, _abscissa_shift(-0.8), work).any()
+        assert not certify_abscissa_below(mats, 0.3, -0.8, work).any()
+
+    def test_batches_certified_whole_make_no_eigensolver_call(self, monkeypatch):
+        """At x = 3 the screen certifies every draw at n = 10 and 40, so each
+        batch is read as an empty spectrum: no hit, nothing eigensolved."""
+        calls = []
+        monkeypatch.setattr(montecarlo, "eigvals_batch", lambda mats: calls.append(len(mats)))
+        points = empirical_tail_rate([10, 40], 1, 3.0, 0.0, 5000, SEED)
+        assert calls == []
+        assert [(p.hits, p.eigensolved, p.rate_hat) for p in points] == [(0, 0, math.inf)] * 2
 
     def test_zero_hits_rate_infinite(self):
         pts = empirical_tail_rate([12], 1, 5.0, 0.0, 50, SEED)

@@ -216,6 +216,13 @@ class TestMultiplierCutoff:
         z0 = multiplier_cutoff(0.3, 0.5, dphi1, 0)
         assert z0 / math.sqrt(dphi1) == pytest.approx(1.5295887702846, rel=1e-12)
 
+    @pytest.mark.parametrize("dphi1", [1e-300, 1e-20, 1e-6, 0.01, 0.3, 2.0, 1e12])
+    def test_scales_as_sqrt_dphi1(self, dphi1):
+        # z0 / sqrt(dphi1) does not depend on dphi1, also where the root is
+        # far below the default tol of 1e-10.
+        z0 = multiplier_cutoff(0.3, 0.5, dphi1, 0)
+        assert z0 / math.sqrt(dphi1) == pytest.approx(1.5295887702846, rel=1e-9)
+
 
 _SUPERCRITICAL = dict(b=st.floats(0.08, 0.92), tau=st.floats(-0.9, 0.9),
                       dphi1=st.floats(0.5, 8.0), m=st.integers(0, 4))
