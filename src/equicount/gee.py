@@ -37,7 +37,7 @@ def _mixing_coefficients(tau: float) -> tuple[float, float]:
     return a, b
 
 
-#: Entries drawn and mixed per step of :func:`sample_gee_entries`; bounds its
+#: Entries mixed per step of :func:`sample_gee_entries`; bounds its
 #: temporaries to a few small blocks.
 _MIX_ENTRIES = 1 << 13
 
@@ -48,10 +48,11 @@ def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int,
 
     The values are those of a * G + b * G^T, computed by the same floating
     point operations, with G the next size * n * n standard normals of
-    ``rng`` divided by sqrt(n). Only the output stack is full size: when
-    a == 1 and b == 0 (tau = 0, or tau too small to move a and b) G is drawn
-    into it and scaled in place; otherwise G is drawn and mixed into it about
-    _MIX_ENTRIES entries at a time (consecutive draws continue one stream).
+    ``rng`` divided by sqrt(n). There is one draw path: G is drawn into the
+    output stack by one call and scaled in place. When a == 1 and b == 0
+    (tau = 0, or tau too small to move a and b) that is the stack; otherwise
+    each block of about _MIX_ENTRIES entries is mixed in place from a copy of
+    itself, so only the output stack is full size.
 
     Given ``out``, a C-contiguous float64 (rows, n, n) buffer with
     rows >= size, the stack is drawn into ``out[:size]`` and that view is
@@ -68,15 +69,14 @@ def sample_gee_entries(n: int, tau: float, rng: np.random.Generator, size: int,
                           f"got {out.dtype} {out.shape}")
     else:
         out = out[:size]
+    rng.standard_normal(out=out)
+    out /= math.sqrt(n)
     if a == 1.0 and b == 0.0:
-        rng.standard_normal(out=out)
-        out /= math.sqrt(n)
         return out
     step = max(1, _MIX_ENTRIES // (n * n))
     for start in range(0, size, step):
         mixed = out[start : start + step]
-        g = rng.standard_normal(mixed.shape)
-        g /= math.sqrt(n)
+        g = mixed.copy()
         np.multiply(g, a, out=mixed)
         mixed += b * np.swapaxes(g, 1, 2)
     return out

@@ -27,13 +27,14 @@ Each real direction is found algebraically:
   tried. Fields with G(x) = |x|^2 c + (l . x) x (f = 0 among them) make the
   resultant vanish identically and are solved in closed form.
 
-One stage serves both n: each direction and its antipode are polished by
-tangential Newton, and each equilibrium carries its unstable-direction count
-m (eigenvalues of the tangential Jacobian with nonnegative real part) and its
-multiplier value. Degenerate configurations (near-double roots, near-zero
-Jacobian eigenvalues, an index sum violating the Euler characteristic, a
-failed certificate) are measure zero; such a sample is flagged with the
-reason of the first check it fails.
+One stage serves any n, so a direction finder is the only per-size code:
+each direction and its antipode are polished by tangential Newton, and each
+equilibrium carries its unstable-direction count m (eigenvalues of the
+tangential Jacobian with nonnegative real part) and its multiplier value.
+Degenerate configurations (near-double roots, near-zero Jacobian
+eigenvalues, an index sum violating the Euler characteristic, a failed
+certificate) are measure zero; such a sample is flagged with the reason of
+the first check it fails.
 
 Every stage runs as one numpy call over a stack of samples (only the
 sphere's closed-form family is solved sample by sample) and every check is a
@@ -372,22 +373,19 @@ DIRECTION_FINDERS = {2: _circle_real_roots, 3: _sphere_real_roots}
 
 
 # ---------------------------------------------------------------------------
-# Both n: polish and classify the real directions
+# Any n: polish and classify the real directions
 # ---------------------------------------------------------------------------
 
 
 def _tangent_frames(xs: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent bases at each row of xs, as columns: (s, n, n - 1)."""
+    """Orthonormal tangent bases at each row of xs, as columns: (s, n, n - 1),
+    the last n - 1 columns of the Householder reflection I - 2 v v^T / (v^T v),
+    v = r + sign(r_0) e_0 for the unit radial r (so |v|^2 >= 2 at any n)."""
     radial = xs / np.linalg.norm(xs, axis=1)[:, None]
-    if xs.shape[1] == 2:
-        return np.stack([-radial[:, 1], radial[:, 0]], axis=-1)[..., None]
-    # Pick the coordinate axis least aligned with the radial direction.
-    pick = np.argmin(np.abs(radial), axis=1)
-    helper = np.zeros_like(radial)
-    helper[np.arange(len(xs)), pick] = 1.0
-    e1 = helper - (helper * radial).sum(axis=1)[:, None] * radial
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    return np.stack([e1, np.cross(radial, e1)], axis=-1)
+    v = radial.copy()
+    v[:, 0] += np.copysign(1.0, radial[:, 0])
+    scale = 2.0 / (v * v).sum(axis=1)
+    return np.eye(xs.shape[1])[:, 1:] - scale[:, None, None] * v[:, :, None] * v[:, None, 1:]
 
 
 def _tangential_system(coeffs: np.ndarray, drift: np.ndarray, xs: np.ndarray):
@@ -406,7 +404,7 @@ def _tangential_system(coeffs: np.ndarray, drift: np.ndarray, xs: np.ndarray):
 
 
 def _solve(coeffs: np.ndarray, drift: np.ndarray) -> _Solved:
-    """Equilibria of a stack of circle (n = 2) or 2-sphere (n = 3) fields.
+    """Equilibria of a stack of fields, at any n in ``DIRECTION_FINDERS``.
 
     Each certified direction and its antipode are polished by tangential
     Newton until every root of the sample has |F| <= ``_RESIDUAL_TOL``, then

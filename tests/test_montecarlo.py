@@ -414,6 +414,16 @@ class TestVerifyDimensionLift:
         assert report.lhs.mean == 0.0 and report.rhs.mean == 0.0
         assert report.z_score == 0.0
 
+    def test_support_counts_nonzero_integrals_only(self):
+        # At m = n - 1 every trial's shift interval reaches down into this
+        # far-left window, but exp(-t^2) underflows there: every integral is
+        # exactly 0, so no trial supports the left side.
+        report = verify_dimension_lift(
+            3, 2, 0.0, IntervalB(-80.0, -70.0), n_trials=200, seed=SEED
+        )
+        assert report.lhs.mean == 0.0
+        assert report.lhs_support == 0
+
     def test_identity_tau_zero(self):
         report = verify_dimension_lift(
             3, 1, 0.0, IntervalB(1.0, 1.4), n_trials=150_000, seed=SEED
@@ -594,8 +604,9 @@ class TestLiftIntegrals:
         # upper end (for m = n - 1 every interval is clipped below).
         for t_lo, t_hi, clipped in ((-3.0, 3.0, None), (cut, 3.0, lower < cut),
                                     (-3.0, cut, upper > cut)):
-            y, live = _lift_integrals(values, is_real, m, c, t_lo, t_hi)
-            picked = np.flatnonzero(live if clipped is None else live & clipped)[:60]
+            y = _lift_integrals(values, is_real, m, c, t_lo, t_hi)
+            nonzero = y != 0.0
+            picked = np.flatnonzero(nonzero if clipped is None else nonzero & clipped)[:60]
             assert picked.size >= 50
             for i in picked:
                 expected = self.reference(values[i], m, c, t_lo, t_hi)

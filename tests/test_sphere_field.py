@@ -6,6 +6,7 @@ at +-sqrt(3) h/|h| with multipliers +-|h|/sqrt(3)) and anchors the solver.
 """
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -352,6 +353,53 @@ class TestSphereSolver:
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
             find_equilibria_sphere(sample_field(2, 0.25, np.random.default_rng(SEED)))
+
+
+class TestAnySizeStage:
+    """The polish-and-classify stage has no per-size code: only a direction
+    finder is needed to solve at a new n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_householder_frames_are_orthonormal_tangent_bases(self, n):
+        # Random points, and +-sqrt(n) e_i, whose zero (and -0.0) first
+        # coordinates pick the reflection's sign at its edge.
+        rng = np.random.default_rng(SEED + 40 + n)
+        axes = math.sqrt(n) * np.concatenate([np.eye(n), -np.eye(n)])
+        xs = np.concatenate([rng.standard_normal((500, n)), axes])
+        frames = sphere_field._tangent_frames(xs)
+        assert frames.shape == (len(xs), n, n - 1)
+        radial = xs / np.linalg.norm(xs, axis=1)[:, None]
+        gram = np.einsum("sia,sib->sab", frames, frames)
+        np.testing.assert_allclose(gram - np.eye(n - 1), 0.0, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(np.einsum("sia,si->sa", frames, radial), 0.0,
+                                   rtol=0.0, atol=1e-14)
+
+    def test_solve_at_n4_with_a_registered_finder(self, monkeypatch):
+        # The diagonal tensor f_i = d_i x_i^2 with h = 0 has G(x) parallel
+        # to x exactly at x ~ sum_{i in S} e_i / d_i for each nonempty S:
+        # all 2^4 - 1 = 15 direction pairs are real, and known in closed form.
+        n, size = 4, 6
+        rng = np.random.default_rng(SEED + 50)
+        diag = rng.uniform(0.5, 2.0, (size, n)) * rng.choice([-1.0, 1.0], (size, n))
+        coeffs = np.zeros((size, n, n, n))
+        coeffs[:, np.arange(n), np.arange(n), np.arange(n)] = diag
+        subsets = np.array(list(itertools.product([0.0, 1.0], repeat=n))[1:])
+
+        def diagonal_directions(coeffs, drift):
+            d = coeffs[:, np.arange(n), np.arange(n), np.arange(n)]
+            dirs = (subsets[None] / d[:, None, :]).reshape(-1, n)
+            sid = np.repeat(np.arange(len(coeffs)), len(subsets))
+            return (sid, dirs / np.linalg.norm(dirs, axis=1)[:, None],
+                    sphere_field._Flags(len(coeffs)))
+
+        monkeypatch.setitem(sphere_field.DIRECTION_FINDERS, n, diagonal_directions)
+        solved = sphere_field._solve(coeffs, np.zeros((size, n)))
+        assert not solved.flags
+        assert np.array_equal(np.bincount(solved.sample, minlength=size), np.full(size, 30))
+        assert np.all(solved.residual <= sphere_field._RESIDUAL_TOL)
+        np.testing.assert_allclose((solved.position ** 2).sum(axis=1), n, rtol=0.0, atol=1e-12)
+        index_sum = np.bincount(solved.sample, weights=(-1.0) ** solved.m, minlength=size)
+        assert np.array_equal(index_sum, np.zeros(size))
 
 
 class TestOracleBatch:
