@@ -326,13 +326,14 @@ def _cmd_verify_uppingdim(args) -> int:
     ]
     _emit_record(args, results=results, z_score=report.z_score)
     # A window the spectra rarely reach gives two near-zero sides whose
-    # z-score passes vacuously. Each right-side reading must carry its own
-    # support, so pairing does not loosen the gate.
+    # z-score passes vacuously. Support is an effective sample size, since
+    # every real right-side reading has a nonzero value, and each right-side
+    # reading must carry its own, so pairing does not loosen the gate.
     if min(report.lhs_support, report.rhs_support, report.rhs_mirror_support) < MIN_HITS:
-        print(f"equicount: verify-uppingdim gate lacks support: {report.lhs_support} lhs and "
-              f"{report.rhs_support} rhs contributing trials, {report.rhs_mirror_support} on "
-              f"the rhs mirror reading; needs >= {MIN_HITS} on each",
-              file=sys.stderr)
+        print(f"equicount: verify-uppingdim gate lacks support: effective sample sizes "
+              f"{report.lhs_support:g} lhs and {report.rhs_support:g} rhs, "
+              f"{report.rhs_mirror_support:g} on the rhs mirror reading; needs >= {MIN_HITS} "
+              f"on each", file=sys.stderr)
         return EXIT_NO_SUPPORT
     return 0 if report.z_score < Z_GATE else EXIT_GATE_FAILED
 

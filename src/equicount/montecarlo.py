@@ -18,15 +18,15 @@ averages the two per trial, and reads every m from one pass.
 
 Also here: the dimension-lift identity checker (Monte Carlo on both sides,
 each left-side trial integrated over the shift in closed form, each
-right-side trial paired with its mirror), empirical tail-rate estimation for
-the large-deviation law, the elliptic-law Kolmogorov-Smirnov check, the
-concentration proxy for the bulk-ranked eigenvalue (paired too), and the
-count of real eigenvalues.
+right-side trial paired with its mirror and averaged over its trace in
+closed form), empirical tail-rate estimation for the large-deviation law,
+the elliptic-law Kolmogorov-Smirnov check, the concentration proxy for the
+bulk-ranked eigenvalue (paired too), and the count of real eigenvalues.
 
 All read their spectra from one batch driver, ``_eig_batches``, and are
 deterministic given (seed, n_trials); see ``sampling`` for the substream
 contract. Each passes the driver a read, the functional of an ordered
-spectrum it keeps (per-trial contributions, integrals, hit flags, ...),
+spectrum it keeps (per-trial contributions, integrals, window masses, ...),
 which the driver applies chunk by chunk, so a batch in flight holds its
 read, not its spectrum. At n >= 4 the batches run concurrently, on one
 thread per CPU of the affinity mask (``eig_workers``) but no more than there
@@ -68,7 +68,7 @@ from .sampling import (
     substream,
     z_score,
 )
-from .special_functions import rate_function
+from .special_functions import erfc_array, rate_function
 
 __all__ = [
     "IntervalB",
@@ -102,7 +102,8 @@ class IntervalB:
 
 FULL_LINE = IntervalB(-math.inf, math.inf)
 
-#: Fewest contributing trials a statistical check may rest on.
+#: Fewest contributing trials, or least effective sample size, a statistical
+#: check may rest on.
 MIN_HITS = 30
 
 
@@ -274,17 +275,21 @@ def estimate_equilibria_count(
 @dataclass(frozen=True)
 class DimensionLiftReport:
     """Both sides of the dimension-lift identity with their discrepancy, and
-    the number of trials contributing a nonzero value to the left side and
-    to each of the right side's two readings (direct and mirror).
-    ``quadrature_panels`` is 1: each trial's t-integral is one exact piece."""
+    the effective sample size (sum w)^2 / sum w^2 of the per-trial values w
+    of the left side and of each of the right side's two readings (direct
+    and mirror), 0 where every square is 0. A right-side reading's value is
+    the probability, over the trial's trace, that it is real and in the
+    window, so every real reading has a nonzero value and a count of them
+    would not measure support. ``quadrature_panels`` is 1: each trial's
+    t-integral is one exact piece."""
 
     lhs: MCEstimate
     rhs: MCEstimate
     z_score: float
     quadrature_panels: int
-    lhs_support: int
-    rhs_support: int
-    rhs_mirror_support: int
+    lhs_support: float
+    rhs_support: float
+    rhs_mirror_support: float
 
 
 def _at_ends(f, x: np.ndarray, shared: float) -> np.ndarray:
@@ -384,9 +389,19 @@ def verify_dimension_lift(
     ``_lift_integrals``), the right side over n x n matrices. Each right-side
     trial averages the direct reading with its X -> -X mirror, the real
     rank-(n-m) eigenvalue negated and tested in the same window (see
-    ``_readings``). Returns both estimates, their z-score and the
-    number of contributing trials on the left side and on each right-side
-    reading.
+    ``_readings``).
+
+    Each right-side reading is averaged over its trial's trace in closed
+    form. A draw splits as X = X0 + xi I, with xi = tr X / n ~ N(0, s^2),
+    s = sqrt(1+tau) / n, independent of the traceless X0, since
+    E[X_kk X_ij] = delta_ij delta_ik (1+tau)/n leaves them uncorrelated. xi
+    moves every eigenvalue by itself and changes no rank or realness. So a
+    real reading l, with c = l - tr X / n = l - xi, a function of X0, counts
+    P(sqrt(n) (c + xi) in window) over xi, half a difference of two erfc:
+    unbiased, from the same draws and eigensolves as the window indicator.
+
+    Returns both estimates, their z-score and the effective sample size of
+    the left side and of each right-side reading.
     """
     if n < 2:
         raise DomainError(f"requires n >= 2, got n={n}")
@@ -399,38 +414,66 @@ def verify_dimension_lift(
     seed_lhs = derive_seed(seed, 0)
     seed_rhs = derive_seed(seed, 1)
     root = math.sqrt(n - 1.0)
-    t_lo, t_hi = window.lo / root, window.hi / root
     c = (n - 1) / (2.0 * (1.0 + tau))
+    # Past |t| = cap, exp(-c t^2) is 0 and erfc(sqrt(c) |t|) is 0 or 2 in
+    # double precision, so window ends clipped there give the same
+    # integrals, and c t^2 cannot overflow.
+    cap = math.sqrt(800.0 / c)
+    t_lo, t_hi = (min(max(end / root, -cap), cap) for end in (window.lo, window.hi))
 
     lhs_moments = RunningMoments()
-    lhs_support = 0
     integrals = partial(_lift_integrals, m=m, c=c, t_lo=t_lo, t_hi=t_hi)
     for y in _eig_batches(n - 1, tau, n_trials, seed_lhs, integrals):
         lhs_moments.add(y)
-        lhs_support += np.count_nonzero(y)
     lhs = lhs_moments.estimate(seed_lhs)
 
     const = math.exp(math.lgamma(n / 2.0) + 0.5 * n * math.log(2.0) + 0.5 * math.log1p(tau)
                      - 0.5 * n * math.log(n - 1.0))
-    root_n = math.sqrt(n)
+    # In units of s sqrt(2), where xi exceeds a with probability erfc(a) / 2,
+    # a reading at c + xi is in the window when xi is in [lo - c, hi - c).
+    # The ends are clipped where every erfc is 0 or 2 anyway, so that no
+    # argument overflows.
+    unit = n / math.sqrt(2.0 * (1.0 + tau))  # 1 / (s sqrt(2))
+    ends = np.array([[min(max(end / math.sqrt(n) * unit, -1e300), 1e300)]
+                     for end in (window.lo, window.hi)])
     rhs_moments = RunningMoments()
-    rhs_support = np.zeros(2, dtype=np.int64)  # direct, mirror
+    rhs_support = RunningMoments(), RunningMoments()  # direct, mirror
 
-    def hits(values, is_real):
-        # Rank m+1 is 0-based index m, read directly and mirrored.
-        return tuple(real[:, m] & window.contains(root_n * re[:, m])
-                     for re, real in _readings(values, is_real))
+    def masses(values, is_real):
+        # Rank m+1 is 0-based index m, with c = value - mean; the mirror
+        # reads index n-1-m negated, c = mean - value.
+        re = values.real
+        mean = sum(re[:, 1:].T, re[:, 0]) / n  # tr X / n
+        real = np.stack([is_real[:, m], is_real[:, n - 1 - m]])
+        rows = np.flatnonzero(real)
+        c = np.stack([re[:, m], re[:, n - 1 - m]])
+        c -= mean
+        c *= unit
+        c[1] *= -1.0
+        a_b = ends - c.ravel()[rows]
+        # The mass P(a <= xi < b) is sign (erfc(sign a) - erfc(sign b)) / 2,
+        # taken in the tail that holds both ends (sign -1 when a + b < 0), so
+        # that no difference of two erfc near 2 cancels.
+        sign = np.where(a_b[0] + a_b[1] < 0.0, -1.0, 1.0)
+        a_b *= sign
+        tails = erfc_array(a_b)
+        tails[0] -= tails[1]
+        sign *= 0.5
+        tails[0] *= sign
+        mass = np.zeros(real.size)
+        mass[rows] = tails[0]
+        return tuple(mass.reshape(real.shape))
 
-    for direct, mirror in _eig_batches(n, tau, n_trials, seed_rhs, hits):
-        live = np.stack([direct, mirror])
-        rhs_moments.add(live.sum(axis=0) * (0.5 * const))
-        rhs_support += live.sum(axis=1)
+    for direct, mirror in _eig_batches(n, tau, n_trials, seed_rhs, masses):
+        rhs_moments.add((direct + mirror) * (0.5 * const))
+        rhs_support[0].add(direct)
+        rhs_support[1].add(mirror)
     rhs = rhs_moments.estimate(seed_rhs)
 
     return DimensionLiftReport(
         lhs=lhs, rhs=rhs, z_score=z_score(lhs, rhs), quadrature_panels=1,
-        lhs_support=lhs_support, rhs_support=int(rhs_support[0]),
-        rhs_mirror_support=int(rhs_support[1]),
+        lhs_support=lhs_moments.effective_size(), rhs_support=rhs_support[0].effective_size(),
+        rhs_mirror_support=rhs_support[1].effective_size(),
     )
 
 

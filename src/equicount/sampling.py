@@ -94,6 +94,12 @@ class RunningMoments:
             stderr = 0.0
         return MCEstimate(mean=mean, stderr=stderr, n_trials=n, seed=seed)
 
+    def effective_size(self) -> float:
+        """(sum w)^2 / sum w^2 of the values w added, nonnegative ones; 0
+        when every square is 0, which leaves the standard error no digits
+        either."""
+        return self._sum * self._sum / self._sumsq if self._sumsq else 0.0
+
 
 def z_score(a: MCEstimate, b: MCEstimate) -> float:
     """|a - b| in combined standard errors; 0.0 when both are exact and equal."""

@@ -1,9 +1,9 @@
 """Closed forms and quadrature for the elliptic-ensemble rate machinery.
 
 This module evaluates, in double precision and with the standard library's
-special functions only:
+special functions and numpy only:
 
-* an underflow-safe log(erfc),
+* an underflow-safe log(erfc), and erfc elementwise over an array,
 * the large-deviation rate function I(x; tau) of the rightmost real
   eigenvalues of the elliptic ensemble,
 * the logarithmic potential phi(x, y; tau) of the uniform law on the ellipse
@@ -76,6 +76,58 @@ def log_erfc(x: float) -> float:
     for k in range(_ERFCX_TERMS, 0, -1):
         tail = 0.5 * k / (x + tail)
     return -x * x - math.log(x + tail) - 0.5 * math.log(math.pi)
+
+
+def _erfc_taylor_table(step: int, degree: int, top: float) -> np.ndarray:
+    """Row j holds, at each node s = k / step of [0, top], the coefficient of
+    u^(degree-j) in the Taylor series of erfc(s + u) exp(2su + u^2), i.e.
+    exp(-s^2) erfcx(s + u). erfcx' = 2y erfcx - 2/sqrt(pi) gives
+    b_1 = 2s b_0 - (2/sqrt(pi)) exp(-s^2) and (j+1) b_(j+1) = 2s b_j + 2 b_(j-1)
+    from b_0 = erfc(s); s^2 is exact, and each coefficient's rounding is
+    scaled by u^j, 2su < 0.44, so the recurrence stays accurate."""
+    s = np.arange(int(top * step) + 1) / step
+    b = np.empty((degree + 1, s.size))
+    b[0] = [math.erfc(v) for v in s.tolist()]
+    b[1] = 2.0 * s * b[0] - 2.0 / math.sqrt(math.pi) * np.exp(-s * s)
+    for j in range(1, degree):
+        b[j + 1] = (2.0 * s * b[j] + 2.0 * b[j - 1]) / (j + 1)
+    return b[::-1].copy()
+
+
+#: Nodes of erfc_array's table per unit, its Taylor degree, and where
+#: erfc(|x|) < 1e-342 rounds to 0: the truncation error is below 2e-16.
+_ERFC_STEP, _ERFC_DEGREE, _ERFC_ZERO = 128, 6, 28.0
+_ERFC_TABLE = _erfc_taylor_table(_ERFC_STEP, _ERFC_DEGREE, _ERFC_ZERO)
+
+
+def erfc_array(x) -> np.ndarray:
+    """erfc(x) elementwise, in float64, on numpy alone.
+
+    For y = |x| below 28, with s = y rounded down to a multiple of 1/128 and
+    u = y - s, erfc(y) = exp(-u (2s + u)) P_s(u), P_s the tabulated degree-6
+    Taylor polynomial at s (see ``_erfc_taylor_table``), and
+    erfc(x) = 2 - erfc(y) for x < 0. Within 1e-15 of ``math.erfc``,
+    relative, wherever that is a normal double (x <= 26.54); 0 from x = 28
+    up, inf included, 2 at the mirror ends, NaN at NaN, and no
+    floating-point warning for any input.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    y = np.abs(flat)
+    node = (np.fmin(y, _ERFC_ZERO) * _ERFC_STEP).astype(np.intp)  # NaN: last node, NaN u
+    s = node * (1.0 / _ERFC_STEP)
+    u = np.minimum(y, _ERFC_ZERO, out=y)
+    u -= s
+    out = _ERFC_TABLE[0].take(node)
+    coef = np.empty_like(out)
+    for row in _ERFC_TABLE[1:]:
+        out *= u
+        out += row.take(node, out=coef)
+    s += s
+    s += u
+    s *= -u
+    out *= np.exp(s, out=s)
+    return np.where(flat < 0.0, 2.0 - out, out).reshape(x.shape)
 
 
 def rate_function(x: float, tau: float) -> float:

@@ -100,6 +100,24 @@ class TestSampleGee:
             se = values.std(ddof=1) / math.sqrt(trials)
             assert abs(values.mean() - target) < 3.0 * se
 
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_trace_splits_off_independently(self, n, tau):
+        # X = X0 + xi I with xi = tr X / n ~ N(0, (1+tau)/n^2), uncorrelated
+        # with every entry of the traceless X0 and so, jointly Gaussian,
+        # independent of it: the fact the dimension-lift check's right side
+        # integrates xi out on.
+        trials = 20_000
+        mats = sample_gee_entries(n, tau, np.random.default_rng([SEED, n]), trials)
+        xi = np.trace(mats, axis1=1, axis2=2) / n
+        ratio = n * n * xi.var(ddof=1) / (1.0 + tau)
+        assert abs(ratio - 1.0) < 4.0 * math.sqrt(2.0 / (trials - 1))  # SE of a variance ratio
+        traceless = (mats - xi[:, None, None] * np.eye(n)).reshape(trials, n * n)
+        traceless -= traceless.mean(axis=0)
+        centred = xi - xi.mean()
+        corr = centred @ traceless / (np.linalg.norm(centred) * np.linalg.norm(traceless, axis=0))
+        assert np.abs(corr).max() < 4.0 / math.sqrt(trials)
+
 
 @pytest.mark.parametrize("size", [1, 255, 257, 4096])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,18 @@ class TestSampling:
     def test_derive_seed_stable(self):
         assert derive_seed(123, 1) == derive_seed(123, 1)
         assert derive_seed(123, 1) != derive_seed(123, 2)
+
+    def test_effective_size(self):
+        moments = RunningMoments()
+        moments.add(np.zeros(5))
+        assert moments.effective_size() == 0.0
+        moments.add(np.array([1.0, 1.0, 2.0]))
+        assert moments.effective_size() == pytest.approx(16.0 / 6.0, rel=1e-15)
+        # Squares that underflow leave the standard error no digits, and the
+        # effective size 0 with it, so a support gate fails.
+        tiny = RunningMoments()
+        tiny.add(np.full(40, 1e-170))
+        assert tiny.effective_size() == 0.0 and tiny.estimate(0).stderr == 0.0
 
     def test_z_score_degenerate(self):
         a = MCEstimate(1.0, 0.0, 10, 0)
@@ -413,6 +426,8 @@ class TestVerifyDimensionLift:
         )
         assert report.lhs.mean == 0.0 and report.rhs.mean == 0.0
         assert report.z_score == 0.0
+        # Far past every spectrum, each trace-averaged mass underflows to 0.
+        assert report.lhs_support == report.rhs_support == report.rhs_mirror_support == 0.0
 
     def test_support_counts_nonzero_integrals_only(self):
         # At m = n - 1 every trial's shift interval reaches down into this
@@ -442,6 +457,107 @@ class TestVerifyDimensionLift:
         )
         assert report.z_score < 3.0
 
+    @pytest.mark.parametrize("n, m, tau, lo, hi, n_trials, seed", [
+        (3, 1, 0.3, 1.0, 1.4, 200_000, SEED + 30),
+        (3, 1, 0.0, 1.0, 1.4, 200_000, SEED + 31),
+        (4, 2, -0.2, 0.2, 0.8, 40_000, SEED + 32),
+        (5, 3, 0.3, -1.0, -0.2, 40_000, SEED + 33),
+        (2, 1, 0.5, -0.5, 0.5, 200_000, SEED + 34),
+        (6, 1, 0.9, 0.5, 1.5, 20_000, SEED + 35),
+        (4, 1, -0.7, 0.3, 0.6, 40_000, SEED + 36),
+    ])
+    def test_trace_averaged_rhs_agrees_with_lhs(self, n, m, tau, lo, hi, n_trials, seed):
+        report = verify_dimension_lift(n, m, tau, IntervalB(lo, hi), n_trials=n_trials,
+                                       seed=seed)
+        assert report.z_score < 3.0
+        assert min(report.lhs_support, report.rhs_support, report.rhs_mirror_support) > MIN_HITS
+
+    @pytest.mark.parametrize("n, m, window", [
+        (4, 2, IntervalB(-0.3, 0.9)),
+        (4, 1, IntervalB(2.5, 3.0)),  # both ends right of most readings
+        (3, 1, IntervalB(-3.0, -2.2)),  # both ends left of most readings
+        (3, 1, IntervalB(1.0, 1e300)),  # one end far from the other
+        (4, 2, IntervalB(-1e300, -1.0)),
+    ])
+    def test_masses_are_window_probabilities_over_the_trace(self, monkeypatch, n, m, window):
+        # The right side's read, taken from the driver, against the normal
+        # law of xi = tr X / n: P(lo <= sqrt(n) (c + xi) < hi) for a real
+        # reading, c = its value less its spectrum's mean, and 0 otherwise.
+        reads = {}
+        driver = montecarlo._eig_batches
+
+        def spy(size, tau, n_trials, seed, read, *args, **kwargs):
+            reads[size] = read
+            return driver(size, tau, n_trials, seed, read, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_eig_batches", spy)
+        tau = 0.3
+        verify_dimension_lift(n, m, tau, window, n_trials=2, seed=SEED)
+        values, is_real = eigvals_batch(sample_gee_entries(n, tau, substream(SEED, n), 3000))
+        s = math.sqrt(1.0 + tau) / n
+        mean = values.real.mean(axis=1)
+        for got, rank, sign in zip(reads[n](values, is_real), (m, n - 1 - m), (1.0, -1.0)):
+            c = sign * (values[:, rank].real - mean)
+            a = (window.lo / math.sqrt(n) - c) / s
+            b = (window.hi / math.sqrt(n) - c) / s
+            # Each P(a <= Z < b) from the tail that holds both ends.
+            want = np.where(a + b > 0.0, special.ndtr(-a) - special.ndtr(-b),
+                            special.ndtr(b) - special.ndtr(a))
+            want = np.where(is_real[:, rank], want, 0.0)
+            assert np.count_nonzero(want > 1e-6) > 50
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, m, window", [
+        (3, 1, IntervalB(1.0, 1.4)),
+        (5, 3, IntervalB(-1.0, -0.2)),
+    ])
+    def test_trace_averaged_rhs_agrees_with_paired_indicator(self, n, m, window):
+        report = verify_dimension_lift(n, m, 0.3, window, n_trials=60_000, seed=SEED + 40)
+        indicator = indicator_rhs(n, m, 0.3, window, 60_000, SEED + 41)
+        assert z_score(report.rhs, indicator) < 3.0
+
+    def test_trace_averaged_rhs_stderr_cut_at_benchmark_point(self):
+        # The same draws read both ways: averaging each reading over the
+        # trace leaves the mean and cuts the spread of the right side.
+        window = IntervalB(1.0, 1.4)
+        report = verify_dimension_lift(3, 1, 0.3, window, n_trials=200_000, seed=SEED + 42)
+        indicator = indicator_rhs(3, 1, 0.3, window, 200_000, SEED + 42)
+        assert report.rhs.stderr <= 0.4 * indicator.stderr
+        assert z_score(report.rhs, indicator) < 3.0
+
+    @pytest.mark.parametrize("n, m, tau, lo, hi", [
+        (3, 2, 0.3, -1e300, 1e300),  # every left-side interval clipped at t_lo
+        (3, 1, 0.3, -1.7e308, 1e300),
+        (2, 1, -0.99, -1e300, 1e300),
+        (2, 1, 1e-12 - 1.0, -1.7e308, 1.7e308),  # s = 7e-7: right-side ends overflow
+    ])
+    def test_huge_window_ends_warn_nothing(self, n, m, tau, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_dimension_lift(n, m, tau, IntervalB(lo, hi), n_trials=2000,
+                                           seed=SEED)
+        assert math.isfinite(report.lhs.mean) and math.isfinite(report.lhs.stderr)
+        # The window holds every real reading, so each mass is exactly 1 (or
+        # 0 when not real): the indicator read, up to how the constant rounds.
+        indicator = indicator_rhs(n, m, tau, IntervalB(lo, hi), 2000, SEED)
+        assert report.rhs.mean == pytest.approx(indicator.mean, rel=1e-14)
+        assert report.rhs.stderr == pytest.approx(indicator.stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, tau, lo, hi", [
+        (3, 1, 0.3, 1.0, 1e300),
+        (3, 1, 0.3, 1.0, 1e15),
+        (3, 1, 0.3, -1e300, -1.0),
+        (4, 2, -0.2, 0.2, 1.7e308),
+    ])
+    def test_one_huge_window_end_keeps_the_other(self, n, m, tau, lo, hi):
+        # A far end must not swallow the finite one: the masses stay window
+        # probabilities, so both sides agree.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_dimension_lift(n, m, tau, IntervalB(lo, hi), n_trials=20_000,
+                                           seed=SEED + 43)
+        assert report.z_score < 3.0
+
     def test_requires_bounded_window(self):
         with pytest.raises(DomainError):
             verify_dimension_lift(3, 1, 0.0, FULL_LINE, n_trials=100, seed=SEED)
@@ -456,17 +572,22 @@ def lift_constant(n, tau):
     return math.gamma(n / 2.0) * 2.0 ** (n / 2.0) * math.sqrt(1.0 + tau) / (n - 1.0) ** (n / 2.0)
 
 
-def direct_only_rhs(n, m, tau, window, n_trials, seed):
-    """The right side from the rank-(m+1) reading alone, without its mirror,
-    on the trials ``verify_dimension_lift(..., seed=seed)`` draws."""
+def indicator_rhs(n, m, tau, window, n_trials, seed, paired=True):
+    """The right side read as window hits on the trials
+    ``verify_dimension_lift(..., seed=seed)`` draws: each trial averages the
+    direct and the mirror reading's hit flag (the read that the
+    trace-averaged masses replaced), or with ``paired=False`` takes the
+    rank-(m+1) reading alone."""
     moments = RunningMoments()
     const = lift_constant(n, tau)
 
-    def live(values, is_real):
-        return is_real[:, m] & window.contains(math.sqrt(n) * values[:, m].real)
+    def hits(values, is_real):
+        readings = _readings(values, is_real) if paired else [(values.real, is_real)]
+        return sum(real[:, m] & window.contains(math.sqrt(n) * re[:, m])
+                   for re, real in readings)
 
-    for hit in _eig_batches(n, tau, n_trials, derive_seed(seed, 1), live):
-        moments.add(np.where(hit, const, 0.0))
+    for count in _eig_batches(n, tau, n_trials, derive_seed(seed, 1), hits):
+        moments.add(count * (const / (1 + paired)))
     return moments.estimate(seed)
 
 
@@ -493,8 +614,8 @@ class TestMirrorReadings:
     ])
     def test_paired_rhs_agrees_with_direct_where_columns_differ(self, n, m, window):
         report = verify_dimension_lift(n, m, 0.3, window, n_trials=60_000, seed=SEED + 20)
-        direct = direct_only_rhs(n, m, 0.3, window, 60_000, SEED + 21)
-        assert min(report.rhs_support, report.rhs_mirror_support) > 1000
+        direct = indicator_rhs(n, m, 0.3, window, 60_000, SEED + 21, paired=False)
+        assert min(report.rhs_support, report.rhs_mirror_support) > 10_000
         assert z_score(report.rhs, direct) < 3.0
 
     def test_paired_rhs_stderr_cut_at_benchmark_point(self):
@@ -502,7 +623,7 @@ class TestMirrorReadings:
         eigenvalue, one at +x and one at -x, so at most one hits per trial."""
         window = IntervalB(1.0, 1.4)
         report = verify_dimension_lift(3, 1, 0.3, window, n_trials=200_000, seed=SEED + 22)
-        direct = direct_only_rhs(3, 1, 0.3, window, 200_000, SEED + 22)
+        direct = indicator_rhs(3, 1, 0.3, window, 200_000, SEED + 22, paired=False)
         assert report.rhs.stderr <= 0.8 * direct.stderr
         assert z_score(report.rhs, direct) < 3.0
 
@@ -611,6 +732,22 @@ class TestLiftIntegrals:
             for i in picked:
                 expected = self.reference(values[i], m, c, t_lo, t_hi)
                 assert y[i] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (3, 2), (6, 3)])
+    def test_ends_past_the_cap_change_no_integral(self, n, m):
+        # verify_dimension_lift clips the window's t-ends to +-sqrt(800 / c):
+        # past that every exp(-c t^2) is 0 and every erfc 0 or 2, so ends
+        # further out give the same bits.
+        size, tau = n - 1, 0.3
+        c = size / (2.0 * (1.0 + tau))
+        cap = math.sqrt(800.0 / c)
+        values, is_real = eigvals_batch(sample_gee_entries(size, tau, substream(SEED, n), 2000))
+        for t_hi in (cap, 0.3):
+            at_cap = _lift_integrals(values, is_real, m, c, -cap, t_hi)
+            assert np.count_nonzero(at_cap) > 100
+            for far in (1.5 * cap, 1e150):
+                beyond = _lift_integrals(values, is_real, m, c, -far, far if t_hi == cap else t_hi)
+                assert np.array_equal(bits(beyond), bits(at_cap))
 
 
 class TestEmpiricalTailRate:

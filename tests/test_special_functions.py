@@ -22,6 +22,7 @@ from equicount.special_functions import (
     QuadratureSpec,
     _angular_mean,
     adaptive_quadrature,
+    erfc_array,
     log_erfc,
     log_norm_constant,
     log_potential,
@@ -68,6 +69,41 @@ class TestLogErfc:
             else:
                 reference = math.log(special.erfc(x))
             assert abs(log_erfc(x) - reference) <= 1e-15 + 1e-14 * abs(reference), x
+
+
+class TestErfcArray:
+    """The Taylor table on numpy, against the standard library."""
+
+    def test_matches_math_erfc_elementwise(self):
+        # A fine grid, both sides of table nodes (multiples of 1/128) near
+        # 0, 1, 4 and 26, and up to where math.erfc leaves the normal doubles
+        # (x = 26.54).
+        nodes = [1.0 / 128.0, 1.0, 4.0, 26.0]
+        xs = np.concatenate([
+            np.linspace(-6.0, 26.5, 65_001),
+            [s * e for e in (0.46875, 4.0) for s in (1.0, -1.0)],
+            [np.nextafter(e, d) for e in nodes for d in (-math.inf, math.inf)],
+            [0.0, -0.0],
+        ])
+        want = np.array([math.erfc(x) for x in xs.tolist()])
+        got = erfc_array(xs)
+        assert want.min() >= np.finfo(float).tiny
+        assert np.max(np.abs(got - want) / want) <= 2e-15
+
+    def test_ends_of_the_line_without_warnings(self):
+        xs = np.array([math.inf, -math.inf, 1e300, -1e300, 28.0, -28.0, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = erfc_array(xs)
+        assert got[:6].tolist() == [0.0, 2.0, 0.0, 2.0, 0.0, 2.0]
+        assert math.isnan(got[6])
+
+    def test_keeps_shape(self):
+        xs = np.array([[0.1, -3.0, 5.0], [-0.3, 2.0, 30.0]])
+        assert erfc_array(xs).shape == (2, 3)
+        assert erfc_array(xs).tolist() == [erfc_array(x).tolist() for x in xs]
+        assert erfc_array(0.5).shape == ()
+        assert erfc_array(0.5) == pytest.approx(math.erfc(0.5), rel=2e-15)
 
 
 class TestRateFunction:
